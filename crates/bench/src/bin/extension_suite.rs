@@ -62,7 +62,7 @@ fn main() {
             &rows,
         );
     }
-    println!(
+    eprintln!(
         "\nshared memo cache over the suite: {} hits / {} misses across {} cells, {} workers \
          — {:.0} cells/sec",
         run.cache.hits,

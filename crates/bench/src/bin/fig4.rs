@@ -41,7 +41,7 @@ fn main() {
         ],
         &rows,
     );
-    println!(
+    eprintln!(
         "\nshared memo cache over the 5x3 sweep: {} hits / {} misses ({:.1}% hit rate), \
          {} cells, {} regions interned — {:.0} cells/sec",
         run.cache.hits,

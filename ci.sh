@@ -84,24 +84,6 @@ if cargo run --release -q -p arcs-bench --bin arcs-sim -- \
     exit 1
 fi
 
-# Hot-path throughput cell: the fig. 4 sweep, best-of-3 wall clock, run
-# twice. The simulated cell times are deterministic so the compare holds
-# at 0%; wall-clock cells/sec is gated separately at a generous -30%
-# (steal-prone hosts jitter, a real hot-path regression shows anyway).
-# Each run appends a {date, cells_per_sec, git_rev, label} point to
-# BENCH_hotpath.json, the repo's throughput trajectory (exact duplicates
-# are refused, so a retried job cannot pad the file).
-GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-cargo run --release -q -p arcs-bench --bin arcs-sim -- \
-    bench --runs 3 --out "$trace_tmp/hot_base.json" --append BENCH_hotpath.json \
-    --label ci
-cargo run --release -q -p arcs-bench --bin arcs-sim -- \
-    bench --runs 3 --out "$trace_tmp/hot_cand.json"
-cargo run --release -q -p arcs-bench --bin arcs-sim -- \
-    compare "$trace_tmp/hot_base.json" "$trace_tmp/hot_cand.json" \
-    --fail-on 0 --fail-on-throughput 30 --out results/bench_hotpath.json
-test -s results/bench_hotpath.json
-
 # Scheduling-policy portfolio cell: on the Monte-Carlo workload the
 # adaptive ladder must actually fire and land between the fixed-policy
 # extremes (--check exits nonzero unless adaptive switched, is within 10%

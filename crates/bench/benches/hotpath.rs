@@ -8,7 +8,8 @@
 //!   memoised; what remains is pure driver semantics).
 //! * `sweep_cell` — one cell of the fig. 4 grid end to end.
 
-use arcs_bench::SweepSpec;
+use arcs::{Objective, SweepEngine, SweepGrid, SweepStrategy};
+use arcs_bench::{PAPER_STRATEGIES, POWER_LEVELS};
 use arcs_kernels::{model, Class};
 use arcs_omprt::Schedule;
 use arcs_powersim::{simulate_region, Machine, SharedSimCache, SimConfig};
@@ -53,49 +54,29 @@ fn cache_lookup(c: &mut Criterion) {
 }
 
 fn region_eval(c: &mut Criterion) {
-    use arcs::{runs, SimExecutor};
-
     let m = Machine::crill();
     let wl = model::sp(Class::B);
-    // One cache shared by every iteration: the warm-up runs pay the
-    // misses, the measured steady state is the pure driver loop.
-    let cache = SimExecutor::new(m.clone(), 85.0).shared_cache().clone();
-    {
-        let mut exec = SimExecutor::new(m.clone(), 85.0).with_shared_cache(cache.clone());
-        runs::default_run_on(&mut exec, &wl);
-        let mut exec = SimExecutor::new(m.clone(), 85.0).with_shared_cache(cache.clone());
-        runs::online_run_on(&mut exec, &wl);
-    }
+    // One engine (one cache) shared by every iteration: the warm-up runs
+    // pay the misses, the measured steady state is the pure driver loop.
+    let engine = SweepEngine::new(m);
+    let cell = |strategy| engine.run_cell(&wl, 85.0, strategy, Objective::Time, None);
+    cell(SweepStrategy::Default);
+    cell(SweepStrategy::Online);
 
     let mut g = c.benchmark_group("region_eval");
-    g.bench_function("sp_b_default_warm", |b| {
-        b.iter(|| {
-            let mut exec = SimExecutor::new(m.clone(), 85.0).with_shared_cache(cache.clone());
-            black_box(runs::default_run_on(&mut exec, &wl))
-        })
-    });
-    g.bench_function("sp_b_online_warm", |b| {
-        b.iter(|| {
-            let mut exec = SimExecutor::new(m.clone(), 85.0).with_shared_cache(cache.clone());
-            black_box(runs::online_run_on(&mut exec, &wl))
-        })
-    });
+    g.bench_function("sp_b_default_warm", |b| b.iter(|| black_box(cell(SweepStrategy::Default))));
+    g.bench_function("sp_b_online_warm", |b| b.iter(|| black_box(cell(SweepStrategy::Online))));
     g.finish();
 }
 
 fn sweep_cell(c: &mut Criterion) {
+    let m = Machine::crill();
+    let grid = SweepGrid::new(m.clone())
+        .workload(model::sp(Class::B))
+        .caps(&POWER_LEVELS)
+        .strategies(&PAPER_STRATEGIES);
     let mut g = c.benchmark_group("sweep_cell");
-    g.bench_function("fig4_grid", |b| {
-        b.iter(|| {
-            black_box(
-                SweepSpec::new(Machine::crill())
-                    .workload(model::sp(Class::B))
-                    .paper_levels()
-                    .paper_strategies()
-                    .run(),
-            )
-        })
-    });
+    g.bench_function("fig4_grid", |b| b.iter(|| black_box(SweepEngine::new(m.clone()).run(&grid))));
     g.finish();
 }
 

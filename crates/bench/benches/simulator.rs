@@ -1,6 +1,7 @@
 //! Simulator benchmarks: per-invocation simulation cost (what a full
 //! figure sweep pays) for representative regions and schedules.
 
+use arcs::{Objective, SweepEngine, SweepStrategy};
 use arcs_kernels::{model, Class};
 use arcs_omprt::Schedule;
 use arcs_powersim::{simulate_region, Machine, SimConfig};
@@ -65,7 +66,15 @@ fn offline_training_sweep(c: &mut Criterion) {
     let mut wl = model::sp(Class::W);
     wl.timesteps = 10;
     c.bench_function("offline_train_sp_w", |b| {
-        b.iter(|| black_box(arcs::runs::offline_run(&m, 85.0, &wl)))
+        b.iter(|| {
+            black_box(SweepEngine::new(m.clone()).run_cell(
+                &wl,
+                85.0,
+                SweepStrategy::Offline,
+                Objective::Time,
+                None,
+            ))
+        })
     });
 }
 

@@ -64,24 +64,12 @@
 //! arcs-sim compare <baseline.json> <candidate.json> [options]
 //!   --fail-on PCT               exit nonzero if any region (or the total)
 //!                               regresses by strictly more than PCT percent
-//!   --fail-on-throughput PCT    also fail if candidate cells/s falls more
-//!                               than PCT percent below baseline (off by
-//!                               default — wall clock is noisy)
 //!   --objective time|energy|edp compare by this objective (default time), so
 //!                               the gate can fail on energy/EDP regressions
 //!   --out PATH                  write the comparison artifact (JSON) here
 //!
-//! arcs-sim bench [options]      hot-path throughput benchmark (fig. 4 sweep)
-//!   --runs N                    repetitions; keeps the fastest (default 2)
-//!   --machine crill|minotaur    (default crill)
-//!   --out PATH                  write a TraceReport artifact (JSON) usable
-//!                               as a compare baseline/candidate
-//!   --append PATH               append {date, cells_per_sec, git_rev, label}
-//!                               to a JSON trajectory file (BENCH_hotpath.json);
-//!                               exact duplicates are refused. git_rev comes
-//!                               from the GIT_REV env var (`unknown` if unset)
-//!   --label TEXT                free-form provenance label for --append
-//!   --json                      print the artifact to stdout
+//! arcs-sim figure <name>|all    print a paper table/figure (see
+//!                               `arcs_bench::figures`; `all` prints every one)
 //! ```
 //!
 //! Examples:
@@ -91,35 +79,97 @@
 //!     --strategy online --selective 0.03 --json
 //! cargo run --release -p arcs-bench --bin arcs-sim -- trace \
 //!     --workload sp.B --cap 80 --strategy nelder-mead --out sp.trace.jsonl
+//! cargo run --release -p arcs-bench --bin arcs-sim -- figure fig4
 //! ```
 
 use arcs::{
-    runs, ConfigSpace, Objective, OmpConfig, RegionTuner, ResilienceOptions, RunStatus, Runner,
+    ConfigSpace, Objective, OmpConfig, RegionTuner, ResilienceOptions, RunStatus, Runner,
     SimExecutor, TunerOptions, TuningMode,
 };
-use arcs_bench::SweepSpec;
+use arcs_bench::figures::{self, FIGURES};
 use arcs_harmony::{History, NmOptions, ProOptions};
 use arcs_kernels::{model, Class};
 use arcs_powersim::{FaultPlan, Machine, WorkloadDescriptor};
-use arcs_trace::{chrome_trace, to_jsonl, validate_jsonl, TraceEvent, TraceSink, VecSink};
-use serde::{Deserialize, Serialize};
+use arcs_trace::{
+    chrome_trace, to_jsonl, validate_jsonl, TraceEvent, TraceRecord, TraceSink, VecSink,
+};
+use serde::Serialize;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::str::FromStr;
 use std::sync::Arc;
 
-struct Args {
-    app: String,
-    class: Class,
-    mesh: usize,
-    machine: Machine,
-    cap: Option<f64>,
-    strategy: String,
-    timesteps: Option<usize>,
-    selective: Option<f64>,
-    save_history: Option<PathBuf>,
-    load_history: Option<PathBuf>,
-    json: bool,
+/// Flag reader shared by every subcommand: a missing or malformed value
+/// prints the subcommand's usage and exits 2.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    usage: fn() -> !,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String], usage: fn() -> !) -> Self {
+        Flags { args: args.iter(), usage }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
+    }
+
+    fn fail(&self, msg: impl Display) -> ! {
+        eprintln!("{msg}");
+        (self.usage)()
+    }
+
+    fn value(&mut self, name: &str) -> String {
+        match self.args.next() {
+            Some(v) => v.clone(),
+            None => self.fail(format!("missing value for {name}")),
+        }
+    }
+
+    fn parse<T: FromStr>(&mut self, name: &str) -> T
+    where
+        T::Err: Display,
+    {
+        let v = self.value(name);
+        v.parse().unwrap_or_else(|e| self.fail(format!("invalid {name} {v}: {e}")))
+    }
+
+    /// `--machine crill|minotaur`.
+    fn machine(&mut self) -> Machine {
+        match self.value("--machine").as_str() {
+            "crill" => Machine::crill(),
+            "minotaur" => Machine::minotaur(),
+            other => self.fail(format!("unknown machine {other}")),
+        }
+    }
+
+    /// An `APP[.CLASS]` workload (class defaults to B; LULESH runs on a
+    /// `mesh`-edge mesh), optionally shortened to `timesteps` steps.
+    fn workload(&self, spec: &str, mesh: usize, timesteps: Option<usize>) -> WorkloadDescriptor {
+        let (app, class) = spec.split_once('.').unwrap_or((spec, "B"));
+        let class = match class {
+            "S" => Class::S,
+            "W" => Class::W,
+            "A" => Class::A,
+            "B" => Class::B,
+            "C" => Class::C,
+            other => self.fail(format!("unknown class {other}")),
+        };
+        let mut wl = match app {
+            "bt" => model::bt(class),
+            "sp" => model::sp(class),
+            "lulesh" => model::lulesh(mesh),
+            "mc" => model::mc(class),
+            other => self.fail(format!("unknown workload {other}")),
+        };
+        if let Some(t) = timesteps {
+            wl.timesteps = t;
+        }
+        wl
+    }
 }
 
 fn usage() -> ! {
@@ -129,123 +179,162 @@ fn usage() -> ! {
          [--strategy default|online|offline|offline-pro] [--timesteps N] \
          [--selective SECONDS] [--save-history PATH] [--load-history PATH] [--json]"
     );
+    eprintln!("       arcs-sim trace|schedule|chaos|report|compare|figure ...");
     exit(2)
 }
 
-fn parse_args() -> Args {
-    let mut argv = std::env::args().skip(1);
-    let Some(app) = argv.next() else { usage() };
-    if !["bt", "sp", "lulesh", "mc"].contains(&app.as_str()) {
-        usage();
-    }
-    let mut args = Args {
-        app,
-        class: Class::B,
-        mesh: 45,
-        machine: Machine::crill(),
-        cap: None,
-        strategy: "offline".into(),
-        timesteps: None,
-        selective: None,
-        save_history: None,
-        load_history: None,
-        json: false,
-    };
-    while let Some(flag) = argv.next() {
-        let mut value = |name: &str| -> String {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--class" => {
-                args.class = match value("--class").as_str() {
-                    "S" => Class::S,
-                    "W" => Class::W,
-                    "A" => Class::A,
-                    "B" => Class::B,
-                    "C" => Class::C,
-                    other => {
-                        eprintln!("unknown class {other}");
-                        usage()
-                    }
-                }
-            }
-            "--mesh" => args.mesh = value("--mesh").parse().unwrap_or_else(|_| usage()),
-            "--machine" => {
-                args.machine = match value("--machine").as_str() {
-                    "crill" => Machine::crill(),
-                    "minotaur" => Machine::minotaur(),
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        usage()
-                    }
-                }
-            }
+/// `arcs-sim <app>`: one workload under one strategy, compared with the
+/// default configuration.
+fn run_main(argv: &[String]) {
+    let mut flags = Flags::new(argv, usage);
+    let Some(app) = flags.next() else { usage() };
+    let mut class = "B".to_string();
+    let mut mesh = 45;
+    let mut machine = Machine::crill();
+    let mut cap: Option<f64> = None;
+    let mut strategy = "offline".to_string();
+    let mut timesteps: Option<usize> = None;
+    let mut selective: Option<f64> = None;
+    let mut save_history: Option<PathBuf> = None;
+    let mut load_history: Option<PathBuf> = None;
+    let mut json = false;
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--class" => class = flags.value("--class"),
+            "--mesh" => mesh = flags.parse("--mesh"),
+            "--machine" => machine = flags.machine(),
             "--machine-file" => {
-                let path = value("--machine-file");
+                let path = flags.value("--machine-file");
                 let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
                     eprintln!("cannot read {path}: {e}");
                     exit(1)
                 });
-                args.machine = Machine::from_json(&text).unwrap_or_else(|e| {
+                machine = Machine::from_json(&text).unwrap_or_else(|e| {
                     eprintln!("invalid machine file {path}: {e}");
                     exit(1)
                 });
             }
-            "--cap" => args.cap = Some(value("--cap").parse().unwrap_or_else(|_| usage())),
-            "--strategy" => args.strategy = value("--strategy"),
-            "--timesteps" => {
-                args.timesteps = Some(value("--timesteps").parse().unwrap_or_else(|_| usage()))
-            }
-            "--selective" => {
-                args.selective = Some(value("--selective").parse().unwrap_or_else(|_| usage()))
-            }
-            "--save-history" => args.save_history = Some(value("--save-history").into()),
-            "--load-history" => args.load_history = Some(value("--load-history").into()),
-            "--json" => args.json = true,
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            "--cap" => cap = Some(flags.parse("--cap")),
+            "--strategy" => strategy = flags.value("--strategy"),
+            "--timesteps" => timesteps = Some(flags.parse("--timesteps")),
+            "--selective" => selective = Some(flags.parse("--selective")),
+            "--save-history" => save_history = Some(flags.value("--save-history").into()),
+            "--load-history" => load_history = Some(flags.value("--load-history").into()),
+            "--json" => json = true,
+            other => flags.fail(format!("unknown flag {other}")),
         }
     }
-    args
-}
-
-fn workload(args: &Args) -> WorkloadDescriptor {
-    let mut wl = match args.app.as_str() {
-        "bt" => model::bt(args.class),
-        "sp" => model::sp(args.class),
-        "mc" => model::mc(args.class),
-        _ => model::lulesh(args.mesh),
+    let wl = flags.workload(&format!("{app}.{class}"), mesh, timesteps);
+    let cap = cap.unwrap_or(machine.power.tdp_w);
+    let m = &machine;
+    let space = ConfigSpace::for_machine(m);
+    let context = format!("{}.{}.{:.0}W", wl.name, m.name, cap);
+    let tuned = |tuner: &mut RegionTuner, label: String| {
+        Runner::new(&mut SimExecutor::new(m.clone(), cap))
+            .workload(&wl)
+            .tuner(tuner)
+            .label(label)
+            .run()
+            .expect("workload is set")
     };
-    if let Some(t) = args.timesteps {
-        wl.timesteps = t;
+
+    let base = Runner::new(&mut SimExecutor::new(m.clone(), cap))
+        .workload(&wl)
+        .run()
+        .expect("workload is set");
+    let (report, history): (arcs::AppRunReport, Option<History<OmpConfig>>) = match strategy
+        .as_str()
+    {
+        "default" => (base.clone(), None),
+        "online" | "offline-pro" => {
+            let mode = if strategy == "online" {
+                TuningMode::Online(NmOptions::default())
+            } else {
+                TuningMode::OnlinePro(ProOptions::default())
+            };
+            let mut options = TunerOptions::new(space, mode);
+            if let Some(t) = selective {
+                options = options.with_min_region_time(t);
+            }
+            let mut tuner = RegionTuner::new(options);
+            let rep = tuned(&mut tuner, format!("arcs-{strategy}"));
+            (rep, Some(tuner.export_history(&context)))
+        }
+        "offline" => {
+            let history = match &load_history {
+                Some(path) => History::load(path).unwrap_or_else(|e| {
+                    eprintln!("cannot load history {path:?}: {e}");
+                    exit(1)
+                }),
+                None => {
+                    let mut options = TunerOptions::offline_train(space.clone());
+                    if let Some(t) = selective {
+                        options = options.with_min_region_time(t);
+                    }
+                    Runner::new(&mut SimExecutor::new(m.clone(), cap))
+                        .workload(&wl)
+                        .train(options, &context)
+                        .expect("offline training options")
+                }
+            };
+            let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space, history.clone()));
+            (tuned(&mut tuner, "arcs-offline".into()), Some(history))
+        }
+        other => flags.fail(format!("unknown strategy {other}")),
+    };
+
+    if let (Some(path), Some(h)) = (&save_history, &history) {
+        if let Err(e) = h.save(path) {
+            eprintln!("cannot save history: {e}");
+            exit(1);
+        }
+        eprintln!("history saved to {path:?}");
     }
-    wl
+
+    if json {
+        println!("{}", serde_json::to_string_pretty(&report).expect("report serialises"));
+        return;
+    }
+
+    println!("{} on {} at {:.0}W — strategy {}", wl.name, m.name, cap, report.strategy);
+    println!(
+        "time   {:>10.2}s   (default {:.2}s, ratio {:.3})",
+        report.time_s,
+        base.time_s,
+        report.time_s / base.time_s
+    );
+    println!(
+        "energy {:>10.0}J   (default {:.0}J, ratio {:.3})",
+        report.energy_j,
+        base.energy_j,
+        report.energy_j / base.energy_j
+    );
+    println!(
+        "overheads: config-change {:.2}s, instrumentation {:.2}s",
+        report.config_change_overhead_s, report.instrumentation_overhead_s
+    );
+    if let Some(h) = &history {
+        println!("configurations:");
+        for (region, entry) in &h.entries {
+            println!("  {:40} [{}]", region, entry.config);
+        }
+    }
 }
 
-/// Parse an `APP[.CLASS]` workload spec (class defaults to B); the shared
-/// parser behind the `trace`, `chaos` and `schedule` subcommands.
-fn workload_from_spec(spec: &str) -> Result<WorkloadDescriptor, String> {
-    let (app, class) = spec.split_once('.').unwrap_or((spec, "B"));
-    let class = match class {
-        "S" => Class::S,
-        "W" => Class::W,
-        "A" => Class::A,
-        "B" => Class::B,
-        "C" => Class::C,
-        other => return Err(format!("unknown class {other}")),
-    };
-    Ok(match app {
-        "bt" => model::bt(class),
-        "sp" => model::sp(class),
-        "lulesh" => model::lulesh(45),
-        "mc" => model::mc(class),
-        other => return Err(format!("unknown workload {other}")),
+/// `records` as JSONL (exits on a serialisation failure).
+fn jsonl(records: &[TraceRecord]) -> String {
+    to_jsonl(records).unwrap_or_else(|e| {
+        eprintln!("cannot serialise trace: {e}");
+        exit(1)
     })
+}
+
+/// Write `text` to `path` (exits on an I/O failure).
+fn write_file(path: &Path, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("cannot write {path:?}: {e}");
+        exit(1)
+    }
 }
 
 fn trace_usage() -> ! {
@@ -261,6 +350,7 @@ fn trace_usage() -> ! {
 /// `arcs-sim trace`: run one (workload, cap, strategy) cell with a
 /// [`VecSink`] attached and emit the collected records as JSONL.
 fn trace_main(argv: &[String]) {
+    let mut flags = Flags::new(argv, trace_usage);
     let mut workload_spec = "sp.B".to_string();
     let mut machine = Machine::crill();
     let mut cap: Option<f64> = None;
@@ -271,98 +361,46 @@ fn trace_main(argv: &[String]) {
     let mut chrome: Option<PathBuf> = None;
     let mut check = false;
     let mut self_profile = false;
-
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                trace_usage()
-            })
-        };
-        match flag.as_str() {
-            "--workload" => workload_spec = value("--workload"),
-            "--machine" => {
-                machine = match value("--machine").as_str() {
-                    "crill" => Machine::crill(),
-                    "minotaur" => Machine::minotaur(),
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        trace_usage()
-                    }
-                }
-            }
-            "--cap" => cap = Some(value("--cap").parse().unwrap_or_else(|_| trace_usage())),
-            "--strategy" => strategy = value("--strategy"),
-            "--objective" => {
-                objective = value("--objective").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    trace_usage()
-                })
-            }
-            "--timesteps" => {
-                timesteps = Some(value("--timesteps").parse().unwrap_or_else(|_| trace_usage()))
-            }
-            "--out" => out = Some(value("--out").into()),
-            "--chrome" => chrome = Some(value("--chrome").into()),
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--workload" => workload_spec = flags.value("--workload"),
+            "--machine" => machine = flags.machine(),
+            "--cap" => cap = Some(flags.parse("--cap")),
+            "--strategy" => strategy = flags.value("--strategy"),
+            "--objective" => objective = flags.parse("--objective"),
+            "--timesteps" => timesteps = Some(flags.parse("--timesteps")),
+            "--out" => out = Some(flags.value("--out").into()),
+            "--chrome" => chrome = Some(flags.value("--chrome").into()),
             "--check" => check = true,
             "--self-profile" => self_profile = true,
-            other => {
-                eprintln!("unknown flag {other}");
-                trace_usage()
-            }
+            other => flags.fail(format!("unknown flag {other}")),
         }
     }
-
-    let mut wl = workload_from_spec(&workload_spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        trace_usage()
-    });
-    if let Some(t) = timesteps {
-        wl.timesteps = t;
-    }
+    let wl = flags.workload(&workload_spec, 45, timesteps);
 
     let cap = cap.unwrap_or(machine.power.tdp_w);
     let space = ConfigSpace::for_machine(&machine);
-    let sink = Arc::new(VecSink::new());
-    let mut exec = SimExecutor::new(machine.clone(), cap).with_trace(sink.clone());
-    let run = match strategy.as_str() {
-        "default" => Runner::new(&mut exec)
-            .workload(&wl)
-            .objective(objective)
-            .self_profile(self_profile)
-            .run(),
-        "nelder-mead" | "pro" => {
-            let mode = if strategy == "nelder-mead" {
-                TuningMode::Online(NmOptions::default())
-            } else {
-                TuningMode::OnlinePro(ProOptions::default())
-            };
-            let mut tuner =
-                RegionTuner::new(TunerOptions::new(space, mode).with_objective(objective));
-            Runner::new(&mut exec)
-                .workload(&wl)
-                .tuner(&mut tuner)
-                .label(format!("arcs-{strategy}"))
-                .self_profile(self_profile)
-                .run()
-        }
-        "exhaustive" => {
-            let mut tuner =
-                RegionTuner::new(TunerOptions::offline_train(space).with_objective(objective));
-            Runner::new(&mut exec)
-                .workload(&wl)
-                .tuner(&mut tuner)
-                .label("arcs-exhaustive")
-                .self_profile(self_profile)
-                .run()
-        }
-        other => {
-            eprintln!("unknown strategy {other}");
-            trace_usage()
-        }
+    let options = match strategy.as_str() {
+        "default" => None,
+        "nelder-mead" => Some(TunerOptions::new(space, TuningMode::Online(NmOptions::default()))),
+        "pro" => Some(TunerOptions::new(space, TuningMode::OnlinePro(ProOptions::default()))),
+        "exhaustive" => Some(TunerOptions::offline_train(space)),
+        other => flags.fail(format!("unknown strategy {other}")),
     };
-    let report = run.unwrap_or_else(|e| {
+    let label = if options.is_some() { format!("arcs-{strategy}") } else { strategy.clone() };
+    let mut tuner = options.map(RegionTuner::new);
+    let sink = Arc::new(VecSink::new());
+    let mut exec = SimExecutor::new(machine.clone(), cap);
+    let mut runner = Runner::new(&mut exec)
+        .workload(&wl)
+        .objective(objective)
+        .label(label)
+        .trace(sink.clone())
+        .self_profile(self_profile);
+    if let Some(tuner) = &mut tuner {
+        runner = runner.tuner(tuner);
+    }
+    let report = runner.run().unwrap_or_else(|e| {
         eprintln!("run failed: {e}");
         exit(1)
     });
@@ -382,11 +420,7 @@ fn trace_main(argv: &[String]) {
     );
 
     let records = sink.drain();
-    let jsonl = to_jsonl(&records).unwrap_or_else(|e| {
-        eprintln!("cannot serialise trace: {e}");
-        exit(1)
-    });
-
+    let jsonl = jsonl(&records);
     if check {
         match validate_jsonl(&jsonl) {
             Ok(parsed) => eprintln!(
@@ -400,25 +434,17 @@ fn trace_main(argv: &[String]) {
             }
         }
     }
-
     if let Some(path) = &chrome {
         let json = chrome_trace(&records).unwrap_or_else(|e| {
             eprintln!("cannot export chrome trace: {e}");
             exit(1)
         });
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("cannot write {path:?}: {e}");
-            exit(1)
-        }
+        write_file(path, &json);
         eprintln!("chrome trace written to {path:?}");
     }
-
     match &out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &jsonl) {
-                eprintln!("cannot write {path:?}: {e}");
-                exit(1)
-            }
+            write_file(path, &jsonl);
             eprintln!(
                 "{} trace records written to {:?} ({}: {:.2}s, {:.0}J)",
                 records.len(),
@@ -450,6 +476,7 @@ fn schedule_usage() -> ! {
 fn schedule_main(argv: &[String]) {
     use arcs_omprt::{Schedule, ScheduleKind};
 
+    let mut flags = Flags::new(argv, schedule_usage);
     let mut workload_spec = "mc.B".to_string();
     let mut machine = Machine::crill();
     let mut cap: Option<f64> = None;
@@ -458,54 +485,22 @@ fn schedule_main(argv: &[String]) {
     let mut out: Option<PathBuf> = None;
     let mut json = false;
     let mut check = false;
-
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                schedule_usage()
-            })
-        };
-        match flag.as_str() {
-            "--workload" => workload_spec = value("--workload"),
-            "--machine" => {
-                machine = match value("--machine").as_str() {
-                    "crill" => Machine::crill(),
-                    "minotaur" => Machine::minotaur(),
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        schedule_usage()
-                    }
-                }
-            }
-            "--cap" => cap = Some(value("--cap").parse().unwrap_or_else(|_| schedule_usage())),
-            "--threads" => {
-                threads = Some(value("--threads").parse().unwrap_or_else(|_| schedule_usage()))
-            }
-            "--timesteps" => {
-                timesteps = Some(value("--timesteps").parse().unwrap_or_else(|_| schedule_usage()))
-            }
-            "--out" => out = Some(value("--out").into()),
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--workload" => workload_spec = flags.value("--workload"),
+            "--machine" => machine = flags.machine(),
+            "--cap" => cap = Some(flags.parse("--cap")),
+            "--threads" => threads = Some(flags.parse("--threads")),
+            "--timesteps" => timesteps = Some(flags.parse("--timesteps")),
+            "--out" => out = Some(flags.value("--out").into()),
             "--json" => json = true,
             "--check" => check = true,
-            other => {
-                eprintln!("unknown flag {other}");
-                schedule_usage()
-            }
+            other => flags.fail(format!("unknown flag {other}")),
         }
     }
-
-    let mut wl = workload_from_spec(&workload_spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        schedule_usage()
-    });
-    if let Some(t) = timesteps {
-        wl.timesteps = t;
-    }
+    let wl = flags.workload(&workload_spec, 45, timesteps);
     let cap = cap.unwrap_or(machine.power.tdp_w);
     let threads = threads.unwrap_or_else(|| machine.hw_threads());
-
     let fixed: Vec<(ScheduleKind, arcs::AppRunReport)> = ScheduleKind::ALL
         .iter()
         .map(|&kind| {
@@ -523,9 +518,9 @@ fn schedule_main(argv: &[String]) {
         .collect();
 
     let sink = Arc::new(VecSink::new());
-    let mut exec = SimExecutor::new(machine.clone(), cap).with_trace(sink.clone());
-    let adaptive = Runner::new(&mut exec)
+    let adaptive = Runner::new(&mut SimExecutor::new(machine.clone(), cap))
         .workload(&wl)
+        .trace(sink.clone())
         .adaptive_schedule(true)
         .label("adaptive")
         .run()
@@ -607,14 +602,7 @@ fn schedule_main(argv: &[String]) {
     }
 
     if let Some(path) = &out {
-        let jsonl = to_jsonl(&records).unwrap_or_else(|e| {
-            eprintln!("cannot serialise trace: {e}");
-            exit(1)
-        });
-        if let Err(e) = std::fs::write(path, &jsonl) {
-            eprintln!("cannot write {path:?}: {e}");
-            exit(1)
-        }
+        write_file(path, &jsonl(&records));
         eprintln!("{} adaptive trace records written to {path:?}", records.len());
     }
 
@@ -700,6 +688,7 @@ fn chaos_usage() -> ! {
 /// plan with the standard self-healing preset, and report what was
 /// injected and how the run recovered.
 fn chaos_main(argv: &[String]) {
+    let mut flags = Flags::new(argv, chaos_usage);
     let mut workload_spec = "lulesh".to_string();
     let mut machine = Machine::crill();
     let mut cap: Option<f64> = None;
@@ -709,61 +698,35 @@ fn chaos_main(argv: &[String]) {
     let mut budget: Option<Option<u64>> = None;
     let mut out: Option<PathBuf> = None;
     let mut check = false;
-
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                chaos_usage()
-            })
-        };
-        match flag.as_str() {
-            "--workload" => workload_spec = value("--workload"),
-            "--machine" => {
-                machine = match value("--machine").as_str() {
-                    "crill" => Machine::crill(),
-                    "minotaur" => Machine::minotaur(),
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        chaos_usage()
-                    }
-                }
-            }
-            "--cap" => cap = Some(value("--cap").parse().unwrap_or_else(|_| chaos_usage())),
-            "--plan" => plan_name = value("--plan"),
-            "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| chaos_usage()),
-            "--timesteps" => {
-                timesteps = Some(value("--timesteps").parse().unwrap_or_else(|_| chaos_usage()))
-            }
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--workload" => workload_spec = flags.value("--workload"),
+            "--machine" => machine = flags.machine(),
+            "--cap" => cap = Some(flags.parse("--cap")),
+            "--plan" => plan_name = flags.value("--plan"),
+            "--seed" => seed = flags.parse("--seed"),
+            "--timesteps" => timesteps = Some(flags.parse("--timesteps")),
             "--budget" => {
-                let v = value("--budget");
-                budget = Some(if v == "none" {
-                    None
-                } else {
-                    Some(v.parse().unwrap_or_else(|_| chaos_usage()))
+                budget = Some(match flags.value("--budget").as_str() {
+                    "none" => None,
+                    v => Some(
+                        v.parse()
+                            .unwrap_or_else(|e| flags.fail(format!("invalid --budget {v}: {e}"))),
+                    ),
                 });
             }
-            "--out" => out = Some(value("--out").into()),
+            "--out" => out = Some(flags.value("--out").into()),
             "--check" => check = true,
-            other => {
-                eprintln!("unknown flag {other}");
-                chaos_usage()
-            }
+            other => flags.fail(format!("unknown flag {other}")),
         }
     }
-
-    let mut wl = workload_from_spec(&workload_spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        chaos_usage()
-    });
-    if let Some(t) = timesteps {
-        wl.timesteps = t;
-    }
+    let wl = flags.workload(&workload_spec, 45, timesteps);
 
     let Some(plan) = FaultPlan::by_name(&plan_name, seed) else {
-        eprintln!("unknown fault plan {plan_name} (have: {})", FaultPlan::names().join(", "));
-        chaos_usage()
+        flags.fail(format!(
+            "unknown fault plan {plan_name} (have: {})",
+            FaultPlan::names().join(", ")
+        ))
     };
     let mut res = ResilienceOptions::standard();
     if let Some(b) = budget {
@@ -773,11 +736,11 @@ fn chaos_main(argv: &[String]) {
     let cap = cap.unwrap_or(machine.power.tdp_w);
     let space = ConfigSpace::for_machine(&machine);
     let sink = Arc::new(VecSink::new());
-    let mut exec = SimExecutor::new(machine.clone(), cap).with_trace(sink.clone());
     let mut tuner =
         RegionTuner::new(TunerOptions::new(space, TuningMode::Online(NmOptions::default())));
-    let run = Runner::new(&mut exec)
+    let run = Runner::new(&mut SimExecutor::new(machine.clone(), cap))
         .workload(&wl)
+        .trace(sink.clone())
         .tuner(&mut tuner)
         .label("arcs-online-chaos")
         .faults(plan)
@@ -786,14 +749,7 @@ fn chaos_main(argv: &[String]) {
 
     let records = sink.drain();
     if let Some(path) = &out {
-        let jsonl = to_jsonl(&records).unwrap_or_else(|e| {
-            eprintln!("cannot serialise trace: {e}");
-            exit(1)
-        });
-        if let Err(e) = std::fs::write(path, &jsonl) {
-            eprintln!("cannot write {path:?}: {e}");
-            exit(1)
-        }
+        write_file(path, &jsonl(&records));
         eprintln!("{} trace records written to {path:?}", records.len());
     }
 
@@ -851,51 +807,27 @@ fn report_usage() -> ! {
 /// `arcs-sim report`: replay a recorded JSONL trace through the analysis
 /// engine and render per-region, convergence, cache and overhead views.
 fn report_main(argv: &[String]) {
+    let mut flags = Flags::new(argv, report_usage);
     let mut path: Option<PathBuf> = None;
     let mut format = "table".to_string();
     let mut objective: Option<Objective> = None;
     let mut out: Option<PathBuf> = None;
-
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                report_usage()
-            })
-        };
-        match arg.as_str() {
-            "--format" => format = value("--format"),
-            "--objective" => {
-                objective = Some(value("--objective").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    report_usage()
-                }))
-            }
-            "--out" => out = Some(value("--out").into()),
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                report_usage()
-            }
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--format" => format = flags.value("--format"),
+            "--objective" => objective = Some(flags.parse("--objective")),
+            "--out" => out = Some(flags.value("--out").into()),
+            flag if flag.starts_with("--") => flags.fail(format!("unknown flag {flag}")),
             _ if path.is_none() => path = Some(arg.into()),
             _ => report_usage(),
         }
     }
     let Some(path) = path else { report_usage() };
 
-    let started = std::time::Instant::now();
     let mut report = arcs_metrics::analyze_path(&path).unwrap_or_else(|e| {
         eprintln!("cannot analyse {path:?}: {e}");
         exit(1)
     });
-    // Stamp the wall-clock replay throughput (region invocations — sweep
-    // "cells" — per second of real time) so compare artifacts accumulate
-    // a perf trajectory in results/ (ROADMAP item 4).
-    let elapsed = started.elapsed().as_secs_f64();
-    let cells: u64 = report.regions.values().map(|r| r.invocations).sum();
-    if cells > 0 && elapsed > 0.0 {
-        report.cells_per_s = Some(cells as f64 / elapsed);
-    }
     if let Some(objective) = objective {
         report.objective = objective;
     }
@@ -903,17 +835,11 @@ fn report_main(argv: &[String]) {
         "table" => report.to_table(),
         "json" => report.to_json(),
         "md" => report.to_markdown(),
-        other => {
-            eprintln!("unknown format {other}");
-            report_usage()
-        }
+        other => flags.fail(format!("unknown format {other}")),
     };
     match &out {
         Some(out) => {
-            if let Err(e) = std::fs::write(out, &rendered) {
-                eprintln!("cannot write {out:?}: {e}");
-                exit(1)
-            }
+            write_file(out, &rendered);
             eprintln!(
                 "report ({} records, {} regions) written to {out:?}",
                 report.records,
@@ -934,8 +860,7 @@ fn report_main(argv: &[String]) {
 fn compare_usage() -> ! {
     eprintln!(
         "usage: arcs-sim compare <baseline.json> <candidate.json> \
-         [--fail-on PCT] [--fail-on-throughput PCT] \
-         [--objective time|energy|edp] [--out PATH]"
+         [--fail-on PCT] [--objective time|energy|edp] [--out PATH]"
     );
     exit(2)
 }
@@ -943,37 +868,17 @@ fn compare_usage() -> ! {
 /// `arcs-sim compare`: the perf-regression gate. Both inputs are JSON
 /// reports produced by `arcs-sim report --format json`.
 fn compare_main(argv: &[String]) {
+    let mut flags = Flags::new(argv, compare_usage);
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut fail_on: f64 = 5.0;
-    let mut fail_on_throughput: Option<f64> = None;
     let mut objective = Objective::Time;
     let mut out: Option<PathBuf> = None;
-
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                compare_usage()
-            })
-        };
-        match arg.as_str() {
-            "--fail-on" => fail_on = value("--fail-on").parse().unwrap_or_else(|_| compare_usage()),
-            "--fail-on-throughput" => {
-                fail_on_throughput =
-                    Some(value("--fail-on-throughput").parse().unwrap_or_else(|_| compare_usage()))
-            }
-            "--objective" => {
-                objective = value("--objective").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    compare_usage()
-                })
-            }
-            "--out" => out = Some(value("--out").into()),
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                compare_usage()
-            }
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--fail-on" => fail_on = flags.parse("--fail-on"),
+            "--objective" => objective = flags.parse("--objective"),
+            "--out" => out = Some(flags.value("--out").into()),
+            flag if flag.starts_with("--") => flags.fail(format!("unknown flag {flag}")),
             _ => paths.push(arg.into()),
         }
     }
@@ -993,350 +898,52 @@ fn compare_main(argv: &[String]) {
     };
     let baseline = load(&paths[0]);
     let candidate = load(&paths[1]);
-    let mut cmp = arcs_metrics::compare_reports_for(&baseline, &candidate, fail_on, objective);
-    if let Some(pct) = fail_on_throughput {
-        cmp = cmp.with_throughput_gate(pct);
-    }
+    let cmp = arcs_metrics::compare_reports_for(&baseline, &candidate, fail_on, objective);
 
     print!("{}", cmp.to_table());
     if let Some(out) = &out {
-        if let Err(e) = std::fs::write(out, cmp.to_json()) {
-            eprintln!("cannot write {out:?}: {e}");
-            exit(1)
-        }
+        write_file(out, &cmp.to_json());
         eprintln!("comparison artifact written to {out:?}");
     }
     if cmp.regressed() {
-        if cmp.throughput_regressed() {
-            eprintln!(
-                "FAIL: wall-clock throughput fell more than {}% below baseline",
-                fail_on_throughput.unwrap_or_default()
-            );
-        } else {
-            eprintln!("FAIL: {objective} regression beyond {fail_on}% threshold");
-        }
+        eprintln!("FAIL: {objective} regression beyond {fail_on}% threshold");
         exit(1)
     }
     eprintln!("OK: no region regressed beyond {fail_on}% on {objective}");
 }
 
-fn bench_usage() -> ! {
-    eprintln!(
-        "usage: arcs-sim bench [--runs N] [--machine crill|minotaur] \
-         [--out PATH] [--append PATH] [--label TEXT] [--json]"
-    );
+fn figure_usage() -> ! {
+    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+    eprintln!("usage: arcs-sim figure <{}|all>", names.join("|"));
     exit(2)
 }
 
-/// Today as `YYYY-MM-DD` (UTC), via Howard Hinnant's days-to-civil
-/// algorithm — BENCH entries carry a date without pulling in a calendar
-/// crate.
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// `arcs-sim bench`: the hot-path throughput benchmark. Runs the fig. 4
-/// sweep (sp.B × five power levels × default/online/offline) `--runs`
-/// times and keeps the fastest repetition — on a noisy host the minimum
-/// wall clock is the least-disturbed measurement. The artifact is a
-/// [`arcs_metrics::TraceReport`] with one row per sweep cell whose
-/// `wall_s` is the cell's *simulated* run time (deterministic, so
-/// `compare --fail-on 0` is meaningful); the wall-clock throughput rides
-/// along in `cells_per_s` for the separate `--fail-on-throughput` gate.
-fn bench_main(argv: &[String]) {
-    let mut runs_n = 2usize;
-    let mut machine = Machine::crill();
-    let mut out: Option<PathBuf> = None;
-    let mut append: Option<PathBuf> = None;
-    let mut label = String::new();
-    let mut json = false;
-
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                bench_usage()
-            })
-        };
-        match arg.as_str() {
-            "--runs" => {
-                runs_n = value("--runs").parse().unwrap_or_else(|_| bench_usage());
-                if runs_n == 0 {
-                    bench_usage()
-                }
+/// `arcs-sim figure`: print one paper table/figure, or every one in
+/// presentation order.
+fn figure_main(argv: &[String]) {
+    match argv {
+        [name] if name == "all" => FIGURES.iter().for_each(|(_, render)| print!("{}", render())),
+        [name] => match figures::figure(name) {
+            Some(text) => print!("{text}"),
+            None => {
+                eprintln!("unknown figure {name}");
+                figure_usage()
             }
-            "--machine" => {
-                machine = match value("--machine").as_str() {
-                    "crill" => Machine::crill(),
-                    "minotaur" => Machine::minotaur(),
-                    other => {
-                        eprintln!("unknown machine {other}");
-                        bench_usage()
-                    }
-                }
-            }
-            "--out" => out = Some(value("--out").into()),
-            "--append" => append = Some(value("--append").into()),
-            "--label" => label = value("--label"),
-            "--json" => json = true,
-            flag => {
-                eprintln!("unknown flag {flag}");
-                bench_usage()
-            }
-        }
+        },
+        _ => figure_usage(),
     }
-
-    let mut best: Option<arcs_bench::SweepRun> = None;
-    for i in 0..runs_n {
-        let run = SweepSpec::new(machine.clone())
-            .workload(model::sp(Class::B))
-            .paper_levels()
-            .paper_strategies()
-            .run();
-        eprintln!(
-            "run {}/{}: {} cells in {:.1} ms — {:.0} cells/sec",
-            i + 1,
-            runs_n,
-            run.cells_executed,
-            run.wall_s * 1e3,
-            run.cells_per_sec()
-        );
-        if best.as_ref().is_none_or(|b| run.wall_s < b.wall_s) {
-            best = Some(run);
-        }
-    }
-    let Some(best) = best else { bench_usage() };
-    let cells_per_sec = best.cells_per_sec();
-
-    let mut report =
-        arcs_metrics::TraceReport { schema: arcs_trace::SCHEMA_VERSION, ..Default::default() };
-    for cell in &best.report.cells {
-        let name = format!("{}@{:.0}W/{}", cell.workload, cell.cap_w, cell.strategy.label());
-        report.regions.insert(
-            name,
-            arcs_metrics::RegionBreakdown {
-                invocations: 1,
-                wall_s: cell.report.time_s,
-                energy_j: cell.report.energy_j,
-                ..Default::default()
-            },
-        );
-        report.wall_s += cell.report.time_s;
-        report.total_region_s += cell.report.time_s;
-        report.total_energy_j += cell.report.energy_j;
-        report.records += 1;
-    }
-    report.cells_per_s = Some(cells_per_sec);
-    report.cache.hits = best.cache.hits;
-    report.cache.misses = best.cache.misses;
-    report.cache.entries = best.cache.entries as u64;
-    report.cache.shard_occupancy = best.cache.shard_occupancy.iter().map(|&c| c as u64).collect();
-    report.cache.interner_size = best.cache.interner_size as u64;
-
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        println!(
-            "best of {} run(s): {} cells in {:.1} ms — {:.0} cells/sec \
-             ({} hits / {} misses, {} distinct cells)",
-            runs_n,
-            best.cells_executed,
-            best.wall_s * 1e3,
-            cells_per_sec,
-            best.cache.hits,
-            best.cache.misses,
-            best.cache.entries,
-        );
-    }
-    if let Some(out) = &out {
-        if let Err(e) = std::fs::write(out, report.to_json()) {
-            eprintln!("cannot write {out:?}: {e}");
-            exit(1)
-        }
-        eprintln!("bench artifact written to {out:?}");
-    }
-    if let Some(path) = &append {
-        let mut entries: Vec<BenchPoint> = match std::fs::read_to_string(path) {
-            Ok(text) => serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!("{path:?} is not a BENCH trajectory (JSON array): {e}");
-                exit(1)
-            }),
-            Err(_) => Vec::new(),
-        };
-        let point = BenchPoint {
-            date: today_utc(),
-            cells_per_sec: (cells_per_sec * 10.0).round() / 10.0,
-            git_rev: std::env::var("GIT_REV").unwrap_or_else(|_| "unknown".into()),
-            label: label.clone(),
-        };
-        // Re-running the same bench at the same commit on the same day
-        // tells the trajectory nothing — refuse the exact duplicate so
-        // retried CI jobs cannot pad the file.
-        if entries.contains(&point) {
-            eprintln!(
-                "refusing duplicate append to {path:?}: identical point already recorded \
-                 ({} @ {} rev {})",
-                point.cells_per_sec, point.date, point.git_rev
-            );
-            return;
-        }
-        entries.push(point);
-        let text = serde_json::to_string_pretty(&entries).expect("serializable");
-        if let Err(e) = std::fs::write(path, text + "\n") {
-            eprintln!("cannot write {path:?}: {e}");
-            exit(1)
-        }
-        eprintln!("appended {:.0} cells/sec to {path:?} ({} points)", cells_per_sec, entries.len());
-    }
-}
-
-/// One point of the BENCH trajectory file (`--append`): the date the
-/// measurement was taken, the best-of-N wall-clock throughput, and
-/// where it came from — the commit under test (`GIT_REV` env, `unknown`
-/// outside CI) plus a free-form `--label`. Both provenance fields
-/// default empty/`unknown` so pre-existing trajectories still parse.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct BenchPoint {
-    date: String,
-    cells_per_sec: f64,
-    #[serde(default)]
-    git_rev: String,
-    #[serde(default)]
-    label: String,
 }
 
 fn main() {
-    let first = std::env::args().nth(1);
-    if first.as_deref() == Some("trace") {
-        let argv: Vec<String> = std::env::args().skip(2).collect();
-        trace_main(&argv);
-        return;
-    }
-    if first.as_deref() == Some("schedule") {
-        let argv: Vec<String> = std::env::args().skip(2).collect();
-        schedule_main(&argv);
-        return;
-    }
-    if first.as_deref() == Some("chaos") {
-        let argv: Vec<String> = std::env::args().skip(2).collect();
-        chaos_main(&argv);
-        return;
-    }
-    if first.as_deref() == Some("report") {
-        let argv: Vec<String> = std::env::args().skip(2).collect();
-        report_main(&argv);
-        return;
-    }
-    if first.as_deref() == Some("compare") {
-        let argv: Vec<String> = std::env::args().skip(2).collect();
-        compare_main(&argv);
-        return;
-    }
-    if first.as_deref() == Some("bench") {
-        let argv: Vec<String> = std::env::args().skip(2).collect();
-        bench_main(&argv);
-        return;
-    }
-    let args = parse_args();
-    let wl = workload(&args);
-    let cap = args.cap.unwrap_or(args.machine.power.tdp_w);
-    let m = &args.machine;
-    let space = ConfigSpace::for_machine(m);
-    let context = format!("{}.{}.{:.0}W", wl.name, m.name, cap);
-
-    let base = runs::default_run(m, cap, &wl);
-    let (report, history): (arcs::AppRunReport, Option<History<OmpConfig>>) =
-        match args.strategy.as_str() {
-            "default" => (base.clone(), None),
-            "online" | "offline-pro" => {
-                let mode = if args.strategy == "online" {
-                    TuningMode::Online(NmOptions::default())
-                } else {
-                    TuningMode::OnlinePro(ProOptions::default())
-                };
-                let mut options = TunerOptions::new(space, mode);
-                if let Some(t) = args.selective {
-                    options = options.with_min_region_time(t);
-                }
-                let mut tuner = RegionTuner::new(options);
-                let mut rep = SimExecutor::new(m.clone(), cap).run_tuned(&wl, &mut tuner);
-                rep.strategy = format!("arcs-{}", args.strategy);
-                (rep, Some(tuner.export_history(&context)))
-            }
-            "offline" => {
-                let history = match &args.load_history {
-                    Some(path) => History::load(path).unwrap_or_else(|e| {
-                        eprintln!("cannot load history {path:?}: {e}");
-                        exit(1)
-                    }),
-                    None => {
-                        let mut options = TunerOptions::offline_train(space.clone());
-                        if let Some(t) = args.selective {
-                            options = options.with_min_region_time(t);
-                        }
-                        SimExecutor::new(m.clone(), cap).train_offline(&wl, options, &context)
-                    }
-                };
-                let mut tuner =
-                    RegionTuner::new(TunerOptions::offline_replay(space, history.clone()));
-                let mut rep = SimExecutor::new(m.clone(), cap).run_tuned(&wl, &mut tuner);
-                rep.strategy = "arcs-offline".into();
-                (rep, Some(history))
-            }
-            other => {
-                eprintln!("unknown strategy {other}");
-                usage()
-            }
-        };
-
-    if let (Some(path), Some(h)) = (&args.save_history, &history) {
-        if let Err(e) = h.save(path) {
-            eprintln!("cannot save history: {e}");
-            exit(1);
-        }
-        eprintln!("history saved to {path:?}");
-    }
-
-    if args.json {
-        println!("{}", serde_json::to_string_pretty(&report).expect("report serialises"));
-        return;
-    }
-
-    println!("{} on {} at {:.0}W — strategy {}", wl.name, m.name, cap, report.strategy);
-    println!(
-        "time   {:>10.2}s   (default {:.2}s, ratio {:.3})",
-        report.time_s,
-        base.time_s,
-        report.time_s / base.time_s
-    );
-    println!(
-        "energy {:>10.0}J   (default {:.0}J, ratio {:.3})",
-        report.energy_j,
-        base.energy_j,
-        report.energy_j / base.energy_j
-    );
-    println!(
-        "overheads: config-change {:.2}s, instrumentation {:.2}s",
-        report.config_change_overhead_s, report.instrumentation_overhead_s
-    );
-    if let Some(h) = &history {
-        println!("configurations:");
-        for (region, entry) in &h.entries {
-            println!("  {:40} [{}]", region, entry.config);
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let rest = argv.get(1..).unwrap_or_default();
+    match argv.first().map(String::as_str) {
+        Some("trace") => trace_main(rest),
+        Some("schedule") => schedule_main(rest),
+        Some("chaos") => chaos_main(rest),
+        Some("report") => report_main(rest),
+        Some("compare") => compare_main(rest),
+        Some("figure") => figure_main(rest),
+        _ => run_main(&argv),
     }
 }

@@ -1,15 +1,17 @@
 //! # arcs-bench — regenerating every table and figure of the ARCS paper
 //!
-//! Each paper artefact has a binary (`cargo run -p arcs-bench --release
-//! --bin <id>`) that prints the corresponding rows/series; the underlying
-//! experiment functions live here so integration tests can assert the
+//! Each paper artefact is one function in [`figures`] that renders its
+//! rows/series as text: `arcs-sim figure <name>` prints it, and the root
+//! package's `tests/figures.rs` byte-compares it with `results/<name>.txt`.
+//! The experiment helpers live here so integration tests can assert the
 //! *shapes* (who wins, by roughly what factor, where crossovers fall)
-//! without parsing stdout.
+//! without parsing text.
 //!
-//! | binary | paper artefact |
+//! | figure | paper artefact |
 //! |--------|----------------|
 //! | `table1` | Table I — search parameter sets |
 //! | `fig1` | Fig. 1 — BT `x_solve` time across configs × power levels |
+//! | `fig2` | Fig. 2 — the framework wiring, as a live self-check |
 //! | `table2` | Table II — ARCS-Offline optimal configs for SP regions |
 //! | `fig3` | Fig. 3 — SP region features, default vs ARCS-Offline |
 //! | `fig4` | Fig. 4 — SP app time+energy × 5 power levels |
@@ -22,14 +24,18 @@
 //! | `overheads` | §III-C — overhead characterisation |
 //! | `xarch` | §V — cross-architecture results on the POWER8 model |
 //! | `ablation` | extension — selective tuning + search-strategy ablations |
+//! | `extension_dvfs` | extension — per-region DVFS as a fourth knob |
+//! | `extension_noise` | extension — measurement noise and config diversity |
+//! | `extension_suite` | extension — CG, EP and MG |
+
+pub mod figures;
 
 use arcs::{
-    runs, AppRunReport, ConfigSpace, Objective, OmpConfig, SimExecutor, SweepEngine, SweepGrid,
-    SweepReport, SweepStrategy,
+    AppRunReport, ConfigSpace, Objective, OmpConfig, SimExecutor, SweepEngine, SweepReport,
+    SweepStrategy,
 };
 use arcs_harmony::History;
-use arcs_powersim::{CacheSnapshot, Machine, SimConfig, SimReport, WorkloadDescriptor};
-use std::time::Instant;
+use arcs_powersim::{Machine, SimConfig, SimReport, WorkloadDescriptor};
 
 /// The paper's Crill power levels (W); the last is the TDP.
 pub const POWER_LEVELS: [f64; 5] = [55.0, 70.0, 85.0, 100.0, 115.0];
@@ -73,206 +79,27 @@ impl SweepPoint {
     }
 }
 
-/// The one typed entry point every figure binary builds its sweep from:
-/// caps × strategies × objectives × repetitions on one machine, executed
-/// as a parallel sweep over a shared memo cache.
-///
-/// ```no_run
-/// use arcs_bench::SweepSpec;
-/// use arcs_kernels::{model, Class};
-/// use arcs_powersim::Machine;
-///
-/// let run = SweepSpec::new(Machine::crill())
-///     .workload(model::sp(Class::B))
-///     .paper_levels()
-///     .paper_strategies()
-///     .run();
-/// let points = run.points("sp.B");
-/// println!("{:.0} cells/sec", run.cells_per_sec());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SweepSpec {
-    machine: Machine,
-    workloads: Vec<WorkloadDescriptor>,
-    caps: Vec<f64>,
-    strategies: Vec<SweepStrategy>,
-    objectives: Vec<Objective>,
-    reps: usize,
-    noise: Option<(f64, u64)>,
-    workers: Option<usize>,
-}
-
-impl SweepSpec {
-    pub fn new(machine: Machine) -> Self {
-        SweepSpec {
-            machine,
-            workloads: Vec::new(),
-            caps: Vec::new(),
-            strategies: Vec::new(),
-            objectives: Vec::new(),
-            reps: 1,
-            noise: None,
-            workers: None,
-        }
-    }
-
-    pub fn workload(mut self, wl: WorkloadDescriptor) -> Self {
-        self.workloads.push(wl);
-        self
-    }
-
-    pub fn caps(mut self, caps_w: &[f64]) -> Self {
-        self.caps.extend_from_slice(caps_w);
-        self
-    }
-
-    /// The paper's five Crill power levels ([`POWER_LEVELS`]).
-    pub fn paper_levels(self) -> Self {
-        self.caps(&POWER_LEVELS)
-    }
-
-    pub fn strategies(mut self, strategies: &[SweepStrategy]) -> Self {
-        self.strategies.extend_from_slice(strategies);
-        self
-    }
-
-    /// The paper's three measured strategies ([`PAPER_STRATEGIES`]).
-    pub fn paper_strategies(self) -> Self {
-        self.strategies(&PAPER_STRATEGIES)
-    }
-
-    /// Score cells by these objectives as well (default: time only).
-    pub fn objectives(mut self, objectives: &[Objective]) -> Self {
-        self.objectives.extend_from_slice(objectives);
-        self
-    }
-
-    /// Execute the whole grid `reps` times through one warm cache —
-    /// repetitions beyond the first are pure cache-read passes, which is
-    /// what the hot-path benchmarks measure.
-    pub fn reps(mut self, reps: usize) -> Self {
-        assert!(reps >= 1);
-        self.reps = reps;
-        self
-    }
-
-    /// Deterministic measurement noise for every cell.
-    pub fn with_noise(mut self, cv: f64, seed: u64) -> Self {
-        self.noise = Some((cv, seed));
-        self
-    }
-
-    /// Fix the sweep worker-pool size (1 = serial).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// Cells per repetition.
-    pub fn cell_count(&self) -> usize {
-        self.workloads.len()
-            * self.caps.len()
-            * self.strategies.len()
-            * self.objectives.len().max(1)
-    }
-
-    fn grid(&self) -> SweepGrid {
-        let mut grid = SweepGrid::new(self.machine.clone());
-        for wl in &self.workloads {
-            grid = grid.workload(wl.clone());
-        }
-        grid = grid.caps(&self.caps).strategies(&self.strategies);
-        if !self.objectives.is_empty() {
-            grid = grid.objectives(&self.objectives);
-        }
-        if let Some((cv, seed)) = self.noise {
-            grid = grid.with_noise(cv, seed);
-        }
-        grid
-    }
-
-    /// Execute on a fresh [`SweepEngine`] (fresh shared cache).
-    pub fn run(&self) -> SweepRun {
-        let mut engine = SweepEngine::new(self.machine.clone());
-        if let Some(w) = self.workers {
-            engine = engine.with_workers(w);
-        }
-        self.run_on(&engine)
-    }
-
-    /// Execute on a caller-owned engine (reuses its warm cache).
-    pub fn run_on(&self, engine: &SweepEngine) -> SweepRun {
-        let grid = self.grid();
-        let before = engine.cache().stats();
-        let start = Instant::now();
-        let mut report = engine.run(&grid);
-        for _ in 1..self.reps {
-            report = engine.run(&grid);
-        }
-        let wall_s = start.elapsed().as_secs_f64();
-        let cache = engine.cache().stats().delta_since(&before);
-        SweepRun {
-            cells_executed: report.cells.len() * self.reps,
-            report,
-            caps: self.caps.clone(),
-            reps: self.reps,
-            wall_s,
-            cache,
-        }
+/// The default/online/offline comparison at one cap (panics if any of the
+/// three cells is missing).
+pub fn point_at(report: &SweepReport, workload: &str, cap_w: f64) -> SweepPoint {
+    let pick = |label: &str| {
+        report
+            .cell(workload, cap_w, label)
+            .unwrap_or_else(|| panic!("sweep missing cell ({workload}, {cap_w}W, {label})"))
+            .report
+            .clone()
+    };
+    SweepPoint {
+        cap_w,
+        default: pick("default"),
+        online: pick("arcs-online"),
+        offline: pick("arcs-offline"),
     }
 }
 
-/// An executed [`SweepSpec`]: the final repetition's [`SweepReport`] plus
-/// whole-run wall-clock and cache accounting.
-#[derive(Debug)]
-pub struct SweepRun {
-    /// The last repetition's cells (identical across repetitions — the
-    /// sweep is deterministic).
-    pub report: SweepReport,
-    /// The cap axis, in declaration order (drives [`SweepRun::points`]).
-    pub caps: Vec<f64>,
-    pub reps: usize,
-    /// Wall-clock seconds over all repetitions.
-    pub wall_s: f64,
-    /// Cells executed across all repetitions.
-    pub cells_executed: usize,
-    /// Cache activity accumulated over all repetitions.
-    pub cache: CacheSnapshot,
-}
-
-impl SweepRun {
-    /// Sweep throughput: executed cells per wall-clock second — the
-    /// number `BENCH_hotpath.json` tracks.
-    pub fn cells_per_sec(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.cells_executed as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// The default/online/offline comparison at one cap (panics if any of
-    /// the three cells is missing).
-    pub fn point_at(&self, workload: &str, cap_w: f64) -> SweepPoint {
-        let pick = |label: &str| {
-            self.report
-                .cell(workload, cap_w, label)
-                .unwrap_or_else(|| panic!("sweep missing cell ({workload}, {cap_w}W, {label})"))
-                .report
-                .clone()
-        };
-        SweepPoint {
-            cap_w,
-            default: pick("default"),
-            online: pick("arcs-online"),
-            offline: pick("arcs-offline"),
-        }
-    }
-
-    /// The [`SweepPoint`] series for one workload over the spec's cap axis.
-    pub fn points(&self, workload: &str) -> Vec<SweepPoint> {
-        self.caps.iter().map(|&cap| self.point_at(workload, cap)).collect()
-    }
+/// The [`SweepPoint`] series for one workload over `caps_w`.
+pub fn points(report: &SweepReport, workload: &str, caps_w: &[f64]) -> Vec<SweepPoint> {
+    caps_w.iter().map(|&cap| point_at(report, workload, cap)).collect()
 }
 
 /// Exhaustive oracle for a single region at one power cap: the best
@@ -324,8 +151,10 @@ pub fn offline_history(
     cap_w: f64,
     wl: &WorkloadDescriptor,
 ) -> History<OmpConfig> {
-    let (_, history) = runs::offline_run(machine, cap_w, wl);
-    history
+    SweepEngine::new(machine.clone())
+        .run_cell(wl, cap_w, SweepStrategy::Offline, Objective::Time, None)
+        .history
+        .expect("offline cells export their history")
 }
 
 /// Feature comparison (Figs. 3, 6, 10): per-region normalised metrics of
@@ -368,10 +197,8 @@ pub fn feature_comparison(
         .collect()
 }
 
-/// Pretty-print a table with a title.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n{title}");
-    println!("{}", "-".repeat(title.len().max(20)));
+/// Render a table with a title into `out`.
+pub fn table(out: &mut String, title: &str, headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
@@ -381,9 +208,11 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     let fmt_row = |cells: &[String]| {
         cells.iter().zip(&widths).map(|(c, w)| format!("{c:<w$}")).collect::<Vec<_>>().join("  ")
     };
-    println!("{}", fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
+    let headers: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
+    *out += &format!("\n{title}\n{}\n{}\n", "-".repeat(title.len().max(20)), fmt_row(&headers));
     for row in rows {
-        println!("{}", fmt_row(row));
+        *out += &fmt_row(row);
+        out.push('\n');
     }
 }
 
@@ -393,15 +222,17 @@ pub fn f3(x: f64) -> String {
 }
 
 /// Standard per-figure header: reminds the reader what the paper showed.
-pub fn preamble(id: &str, paper_claim: &str) {
-    println!("=== {id} ===");
-    println!("paper: {paper_claim}");
-    println!("(simulated Crill/Minotaur; see EXPERIMENTS.md for the comparison)");
+pub fn preamble(id: &str, paper_claim: &str) -> String {
+    format!(
+        "=== {id} ===\npaper: {paper_claim}\n\
+         (simulated Crill/Minotaur; see EXPERIMENTS.md for the comparison)\n"
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arcs::SweepGrid;
     use arcs_kernels::{model, Class};
 
     #[test]
@@ -416,38 +247,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sweep_point_ratios_are_consistent() {
-        let m = Machine::crill();
+    fn paper_grid(m: &Machine, timesteps: usize) -> SweepGrid {
         let mut wl = model::sp(Class::B);
-        wl.timesteps = 20;
-        let run = SweepSpec::new(m).workload(wl).caps(&[85.0]).paper_strategies().run();
-        let pt = run.point_at("sp.B", 85.0);
-        assert!(pt.offline_time_ratio() > 0.0);
-        assert!((pt.offline.time_s / pt.default.time_s - pt.offline_time_ratio()).abs() < 1e-12);
-        assert_eq!(run.points("sp.B").len(), 1);
-        assert_eq!(run.cells_executed, 3);
-        assert!(run.cells_per_sec() > 0.0);
-        assert!(run.cache.misses > 0, "a fresh engine must simulate something");
+        wl.timesteps = timesteps;
+        SweepGrid::new(m.clone()).workload(wl).caps(&[85.0]).strategies(&PAPER_STRATEGIES)
     }
 
     #[test]
-    fn reps_reuse_the_warm_cache() {
+    fn sweep_point_ratios_are_consistent() {
         let m = Machine::crill();
-        let mut wl = model::sp(Class::B);
-        wl.timesteps = 6;
-        let once = SweepSpec::new(m.clone()).workload(wl.clone()).caps(&[85.0]).paper_strategies();
-        let warm = once.clone().reps(3).run();
-        assert_eq!(warm.cells_executed, 9);
-        // Repetitions after the first resolve every lookup from cache, so
-        // the whole-run miss count equals a single repetition's.
-        let cold = once.run();
-        assert_eq!(warm.cache.misses, cold.cache.misses);
-        assert!(warm.cache.hits > cold.cache.hits);
+        let report = SweepEngine::new(m.clone()).run(&paper_grid(&m, 20));
+        let pt = point_at(&report, "sp.B", 85.0);
+        assert!(pt.offline_time_ratio() > 0.0);
+        assert!((pt.offline.time_s / pt.default.time_s - pt.offline_time_ratio()).abs() < 1e-12);
+        assert_eq!(points(&report, "sp.B", &[85.0]).len(), 1);
+        assert_eq!(report.cells.len(), 3);
+        assert!(report.cache.misses > 0, "a fresh engine must simulate something");
+    }
+
+    #[test]
+    fn repeated_sweeps_reuse_the_warm_cache() {
+        let m = Machine::crill();
+        let grid = paper_grid(&m, 6);
+        let engine = SweepEngine::new(m);
+        let cold = engine.run(&grid);
+        // A repetition on the same engine resolves every lookup from cache.
+        let warm = engine.run(&grid);
+        assert_eq!(warm.cache.misses, 0);
+        assert!(warm.cache.hits > 0);
         // And the sweep itself is deterministic across repetitions.
         assert_eq!(
-            warm.point_at("sp.B", 85.0).default.time_s,
-            cold.point_at("sp.B", 85.0).default.time_s
+            point_at(&warm, "sp.B", 85.0).default.time_s,
+            point_at(&cold, "sp.B", 85.0).default.time_s
         );
     }
 

@@ -29,8 +29,9 @@
 //!
 //! ## Tracing
 //!
-//! When a [`TraceSink`] is attached (via [`Runner::trace`] or a backend's
-//! own builder), the driver emits [`arcs_trace::TraceEvent`]s along the
+//! When a [`TraceSink`] is attached (via [`Runner::trace`], or
+//! [`Backend::attach_trace`] for a backend that outlives many runs), the
+//! driver emits [`arcs_trace::TraceEvent`]s along the
 //! run's simulated timeline (the driver's accumulated time): `CapChange`
 //! once at run start, `RegionBegin`/`RegionEnd` + `PowerSample` per
 //! invocation, and `ConfigSwitch`/`OverheadCharged` when a tuner moves the

@@ -1,11 +1,11 @@
 //! Simulator-backed application execution.
 //!
-//! [`SimExecutor`] runs a [`WorkloadDescriptor`] on a simulated
-//! power-capped machine, either at the paper's default configuration or
-//! under an ARCS [`RegionTuner`]. It implements [`Backend`], so the run
-//! loop itself — §III-C overhead charging, energy metering, report
-//! assembly — lives once in [`crate::backend`] and is shared verbatim with
-//! the live path.
+//! [`SimExecutor`] runs a [`WorkloadDescriptor`](arcs_powersim::WorkloadDescriptor)
+//! on a simulated power-capped machine, either at the paper's default
+//! configuration or under an ARCS [`RegionTuner`](crate::tuner::RegionTuner).
+//! It implements [`Backend`], so the run loop itself — §III-C overhead
+//! charging, energy metering, report assembly — lives once in
+//! [`crate::backend`] and is shared verbatim with the live path.
 //!
 //! Region results are memoised per (region, trip count, configuration,
 //! cap) in a [`SharedSimCache`] — the simulator is deterministic, so
@@ -19,20 +19,16 @@
 //! instance so profile-based analyses (Fig. 9) read the same introspection
 //! state the live path populates.
 
-use crate::backend::{self, Backend, RegionFeatures, RegionRun, RunError, Runner};
+use crate::backend::{self, Backend, RegionFeatures, RegionRun, RunError};
 use crate::cap::{CapHandle, CapWatch};
-use crate::config::OmpConfig;
 use crate::faults::{FaultClock, MeterFault};
-use crate::report::AppRunReport;
 use crate::tunable::TunedConfig;
-use crate::tuner::{RegionTuner, TunerOptions};
 use arcs_apex::Apex;
-use arcs_harmony::History;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{
     simulate_region_with, CacheBindError, CacheReader, FaultPlan, FxBuildHasher, InvocationFaults,
     Machine, MeasureError, PackageEnergy, Rapl, RegionId, RegionModel, SharedSimCache, SimConfig,
-    SimReport, SimScratch, WorkloadDescriptor,
+    SimReport, SimScratch,
 };
 use arcs_trace::{TraceEvent, TraceSink};
 use std::collections::HashMap;
@@ -142,16 +138,6 @@ impl SimExecutor {
         }
     }
 
-    /// Watch an externally-owned [`CapHandle`]: every `set` on the handle
-    /// is applied — clamped, traced as a `CapChange` — immediately before
-    /// the next region invocation, exactly like a scheduled cap fault.
-    /// The handle's current value replaces the constructor cap at attach
-    /// time.
-    pub fn with_cap_handle(mut self, handle: CapHandle) -> Self {
-        Backend::attach_cap_handle(&mut self, handle);
-        self
-    }
-
     /// Route region samples into an APEX instance as well.
     pub fn with_apex(mut self, apex: Arc<Apex>) -> Self {
         if let Some(sink) = &self.trace {
@@ -165,15 +151,6 @@ impl SimExecutor {
     /// deterministic multiplicative noise.
     pub fn with_noise(mut self, cv: f64, seed: u64) -> Self {
         self.noise = Some(NoiseModel::new(cv, seed));
-        self
-    }
-
-    /// Attach a deterministic [`FaultPlan`]: meter reads and region
-    /// invocations are perturbed per the plan's seeded schedule. Every
-    /// injected fault is traced as a `FaultInjected` event and counted
-    /// under `arcs/faults/<kind>`.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        Backend::attach_faults(&mut self, plan);
         self
     }
 
@@ -196,35 +173,11 @@ impl SimExecutor {
         }
     }
 
-    /// Attach a trace sink: the driver's region/power events, the memo
-    /// cache's hit/miss events and APEX's policy events all flow into it.
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        Backend::attach_trace(&mut self, sink);
-        self
-    }
-
-    /// Attach a metrics registry: the driver's counters, the memo cache's
-    /// hit/miss/insert counters and the tuner's evaluation counters all
-    /// resolve their handles against it.
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        Backend::attach_metrics(&mut self, registry);
-        self
-    }
-
-    /// Attach a memo cache shared with other executors, checking that it
-    /// belongs to this executor's machine model — reports are
-    /// machine-dependent and the machine is not part of the cache key.
-    pub fn try_with_shared_cache(
-        mut self,
-        cache: Arc<SharedSimCache>,
-    ) -> Result<Self, CacheBindError> {
-        self.bind_cache(cache)?;
-        Ok(self)
-    }
-
-    /// Attach a memo cache shared with other executors. Machine mismatches
-    /// panic in debug builds; release builds keep the private cache. Use
-    /// [`SimExecutor::try_with_shared_cache`] to handle the mismatch.
+    /// Attach a memo cache shared with other executors. The machine is not
+    /// part of the cache key, so a cache of another machine model panics
+    /// in debug builds and is ignored (the private cache is kept) in
+    /// release builds. [`Runner::shared_cache`](crate::backend::Runner::shared_cache)
+    /// surfaces the mismatch as an error instead.
     pub fn with_shared_cache(mut self, cache: Arc<SharedSimCache>) -> Self {
         let bound = self.bind_cache(cache);
         debug_assert!(
@@ -327,46 +280,6 @@ impl SimExecutor {
                 );
             }
         }
-    }
-
-    /// Run the whole application at the paper's default configuration
-    /// (no instrumentation, no tuning).
-    pub fn run_default(&mut self, wl: &WorkloadDescriptor) -> AppRunReport {
-        Runner::new(self).workload(wl).run().expect("workload is set")
-    }
-
-    /// Run the whole application with a fixed per-region configuration map
-    /// (no tuner, no overheads) — used for oracle/ablation comparisons.
-    pub fn run_fixed(
-        &mut self,
-        wl: &WorkloadDescriptor,
-        config_for: &dyn Fn(&str) -> OmpConfig,
-        strategy: &str,
-    ) -> AppRunReport {
-        Runner::new(self)
-            .workload(wl)
-            .fixed(|name: &str| config_for(name), strategy)
-            .run()
-            .expect("workload is set")
-    }
-
-    /// Run the application under an ARCS tuner (Online, Offline-train or
-    /// Offline-replay, depending on the tuner's mode).
-    pub fn run_tuned(&mut self, wl: &WorkloadDescriptor, tuner: &mut RegionTuner) -> AppRunReport {
-        Runner::new(self).workload(wl).tuner(tuner).run().expect("workload is set")
-    }
-
-    /// ARCS-Offline training: see [`Runner::train`].
-    pub fn train_offline(
-        &mut self,
-        wl: &WorkloadDescriptor,
-        options: TunerOptions,
-        context: &str,
-    ) -> History<OmpConfig> {
-        Runner::new(self)
-            .workload(wl)
-            .train(options, context)
-            .expect("train_offline requires TuningMode::OfflineTrain")
     }
 }
 
@@ -515,75 +428,30 @@ impl Backend for SimExecutor {
     }
 }
 
-/// Convenience: the four paper runs for one workload at one power cap.
-pub mod runs {
-    use super::*;
-    use crate::config::ConfigSpace;
-    use crate::tuner::TunerOptions;
-
-    /// Default configuration, no ARCS.
-    pub fn default_run(machine: &Machine, cap_w: f64, wl: &WorkloadDescriptor) -> AppRunReport {
-        default_run_on(&mut SimExecutor::new(machine.clone(), cap_w), wl)
-    }
-
-    /// [`default_run`] on a caller-built executor (shared cache, noise…).
-    pub fn default_run_on(exec: &mut SimExecutor, wl: &WorkloadDescriptor) -> AppRunReport {
-        exec.run_default(wl)
-    }
-
-    /// ARCS-Online: Nelder–Mead search and execution in the same run.
-    pub fn online_run(machine: &Machine, cap_w: f64, wl: &WorkloadDescriptor) -> AppRunReport {
-        online_run_on(&mut SimExecutor::new(machine.clone(), cap_w), wl)
-    }
-
-    /// [`online_run`] on a caller-built executor.
-    pub fn online_run_on(exec: &mut SimExecutor, wl: &WorkloadDescriptor) -> AppRunReport {
-        let space = ConfigSpace::for_machine(&exec.machine);
-        let mut tuner = RegionTuner::new(TunerOptions::online(space));
-        let mut rep = exec.run_tuned(wl, &mut tuner);
-        rep.strategy = "arcs-online".into();
-        rep
-    }
-
-    /// ARCS-Offline: exhaustive training execution(s), then the measured
-    /// replay execution. Returns (replay report, history).
-    pub fn offline_run(
-        machine: &Machine,
-        cap_w: f64,
-        wl: &WorkloadDescriptor,
-    ) -> (AppRunReport, History<OmpConfig>) {
-        offline_run_on(
-            &mut SimExecutor::new(machine.clone(), cap_w),
-            &mut SimExecutor::new(machine.clone(), cap_w),
-            wl,
-        )
-    }
-
-    /// [`offline_run`] on caller-built trainer/replayer executors (the
-    /// paper trains and measures in separate executions, so two executors;
-    /// they may share a memo cache).
-    pub fn offline_run_on(
-        trainer: &mut SimExecutor,
-        replayer: &mut SimExecutor,
-        wl: &WorkloadDescriptor,
-    ) -> (AppRunReport, History<OmpConfig>) {
-        let space = ConfigSpace::for_machine(&trainer.machine);
-        let context = format!("{}.{}.{}W", wl.name, trainer.machine.name, trainer.power_cap_w());
-        let history =
-            trainer.train_offline(wl, TunerOptions::offline_train(space.clone()), &context);
-        let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space, history.clone()));
-        let mut rep = replayer.run_tuned(wl, &mut tuner);
-        rep.strategy = "arcs-offline".into();
-        (rep, history)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::runs::*;
     use super::*;
+    use crate::backend::Runner;
+    use crate::config::OmpConfig;
+    use crate::report::AppRunReport;
+    use crate::sweep::{SweepEngine, SweepStrategy};
     use arcs_kernels::model;
     use arcs_kernels::Class;
+    use arcs_powersim::WorkloadDescriptor;
+    use arcs_trace::Objective;
+
+    fn default_run(m: &Machine, cap_w: f64, wl: &WorkloadDescriptor) -> AppRunReport {
+        Runner::new(&mut SimExecutor::new(m.clone(), cap_w)).workload(wl).run().unwrap()
+    }
+
+    fn tuned_cell(
+        m: &Machine,
+        cap_w: f64,
+        wl: &WorkloadDescriptor,
+        strategy: SweepStrategy,
+    ) -> crate::sweep::CellResult {
+        SweepEngine::new(m.clone()).run_cell(wl, cap_w, strategy, Objective::Time, None)
+    }
 
     fn small_bt() -> WorkloadDescriptor {
         let mut wl = model::bt(Class::W);
@@ -634,7 +502,8 @@ mod tests {
         let mut wl = model::sp(Class::B);
         wl.timesteps = 20; // replay length doesn't change per-invocation ratios
         let base = default_run(&m, 115.0, &wl);
-        let (off, history) = offline_run(&m, 115.0, &wl);
+        let cell = tuned_cell(&m, 115.0, &wl, SweepStrategy::Offline);
+        let (off, history) = (cell.report, cell.history.unwrap());
         assert!(
             off.time_s < base.time_s,
             "offline {} should beat default {}",
@@ -652,7 +521,7 @@ mod tests {
         let mut wl = model::sp(Class::B);
         wl.timesteps = 200;
         let base = default_run(&m, 85.0, &wl);
-        let on = online_run(&m, 85.0, &wl);
+        let on = tuned_cell(&m, 85.0, &wl, SweepStrategy::Online).report;
         assert!(on.time_s < base.time_s, "online {} vs default {}", on.time_s, base.time_s);
         assert!(on.tuner.unwrap().config_changes > 0);
     }
@@ -662,7 +531,7 @@ mod tests {
         let m = Machine::crill();
         let mut wl = model::bt(Class::W);
         wl.timesteps = 10;
-        let on = online_run(&m, 115.0, &wl);
+        let on = tuned_cell(&m, 115.0, &wl, SweepStrategy::Online).report;
         // Instrumentation is per-tuned-invocation; configuration changes
         // fire whenever the global ICVs move.
         assert!(on.config_change_overhead_s > 0.0);
@@ -677,7 +546,10 @@ mod tests {
         wl.timesteps = 60;
         let mut exec = SimExecutor::new(m.clone(), 115.0);
         let space = crate::config::ConfigSpace::crill();
-        let h = exec.train_offline(&wl, TunerOptions::offline_train(space), "bt.W.test");
+        let h = Runner::new(&mut exec)
+            .workload(&wl)
+            .train(crate::tuner::TunerOptions::offline_train(space), "bt.W.test")
+            .unwrap();
         assert_eq!(h.len(), 5);
         for (_, entry) in h.entries.iter() {
             assert_eq!(entry.evaluations, 252);
@@ -689,16 +561,18 @@ mod tests {
         let m = Machine::crill();
         let cache = Arc::new(SharedSimCache::new(&m.name));
         let wl = small_bt();
-        let a = default_run_on(
-            &mut SimExecutor::new(m.clone(), 85.0).with_shared_cache(Arc::clone(&cache)),
-            &wl,
-        );
+        let a = Runner::new(&mut SimExecutor::new(m.clone(), 85.0))
+            .workload(&wl)
+            .shared_cache(Arc::clone(&cache))
+            .run()
+            .unwrap();
         let warm = cache.stats();
         assert_eq!(warm.hits, 5 * 29); // 5 regions × (30 − first) invocations
-        let b = default_run_on(
-            &mut SimExecutor::new(m.clone(), 85.0).with_shared_cache(Arc::clone(&cache)),
-            &wl,
-        );
+        let b =
+            Runner::new(&mut SimExecutor::new(m.clone(), 85.0).with_shared_cache(cache.clone()))
+                .workload(&wl)
+                .run()
+                .unwrap();
         assert_eq!(a, b);
         // The second executor never missed: all its lookups hit.
         let after = cache.stats();
@@ -709,10 +583,10 @@ mod tests {
     #[test]
     fn shared_cache_rejects_wrong_machine() {
         let cache = Arc::new(SharedSimCache::new("minotaur"));
-        let err = SimExecutor::new(Machine::crill(), 85.0)
-            .try_with_shared_cache(cache)
-            .map(|_| ())
-            .unwrap_err();
+        let err = match SimExecutor::new(Machine::crill(), 85.0).bind_shared_cache(cache) {
+            Err(RunError::CacheBind(e)) => e,
+            other => panic!("expected a cache-bind error, got {other:?}"),
+        };
         assert_eq!(err.cache_machine, "minotaur");
         assert_eq!(err.machine, "crill");
         assert!(err.to_string().contains("different machine model"));
@@ -730,8 +604,11 @@ mod tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
+    use crate::backend::Runner;
+    use crate::sweep::{SweepEngine, SweepStrategy};
     use arcs_kernels::{model, Class};
-    use arcs_trace::{NullSink, TraceEvent, VecSink};
+    use arcs_powersim::WorkloadDescriptor;
+    use arcs_trace::{NullSink, Objective, TraceEvent, VecSink};
 
     fn tiny_sp() -> WorkloadDescriptor {
         let mut wl = model::sp(Class::B);
@@ -744,8 +621,13 @@ mod trace_tests {
         let m = Machine::crill();
         let wl = tiny_sp();
         let sink = Arc::new(VecSink::new());
-        let mut exec = SimExecutor::new(m, 80.0).with_trace(sink.clone());
-        let _ = runs::online_run_on(&mut exec, &wl);
+        let _ = SweepEngine::new(m).with_trace(sink.clone()).run_cell(
+            &wl,
+            80.0,
+            SweepStrategy::Online,
+            Objective::Time,
+            None,
+        );
 
         let records = sink.drain();
         let count = |kind: &str| records.iter().filter(|r| r.event.kind() == kind).count();
@@ -777,14 +659,13 @@ mod trace_tests {
         let wl = tiny_sp();
         let handle = crate::cap::CapHandle::new(100.0);
         let sink = Arc::new(VecSink::new());
-        let mut exec = SimExecutor::new(m.clone(), 85.0)
-            .with_cap_handle(handle.clone())
-            .with_trace(sink.clone());
+        let mut exec = SimExecutor::new(m.clone(), 85.0);
+        exec.attach_cap_handle(handle.clone());
         assert_eq!(exec.power_cap_w(), 100.0, "the handle replaces the constructor cap");
 
         // Reallocate mid-run: the driver's next region boundary applies it.
         handle.set(60.0);
-        let rep = exec.run_default(&wl);
+        let rep = Runner::new(&mut exec).workload(&wl).trace(sink.clone()).run().unwrap();
         assert_eq!(rep.power_cap_w, 60.0);
         let records = sink.drain();
         let caps: Vec<(f64, f64)> = records
@@ -804,7 +685,7 @@ mod trace_tests {
 
         // An identical run at a fixed 60 W cap prices the post-move
         // regions identically (the memo cache key follows the envelope).
-        let fixed = SimExecutor::new(m, 60.0).run_default(&wl);
+        let fixed = Runner::new(&mut SimExecutor::new(m, 60.0)).workload(&wl).run().unwrap();
         assert_eq!(
             rep.per_region["sp/x_solve"].total_time_s,
             fixed.per_region["sp/x_solve"].total_time_s
@@ -815,11 +696,15 @@ mod trace_tests {
     fn null_sink_runs_bit_identical_to_untraced_runs() {
         let m = Machine::crill();
         let wl = tiny_sp();
-        let plain = SimExecutor::new(m.clone(), 85.0).with_noise(0.1, 9).run_default(&wl);
-        let nulled = SimExecutor::new(m.clone(), 85.0)
-            .with_noise(0.1, 9)
-            .with_trace(Arc::new(NullSink))
-            .run_default(&wl);
+        let plain = Runner::new(&mut SimExecutor::new(m.clone(), 85.0).with_noise(0.1, 9))
+            .workload(&wl)
+            .run()
+            .unwrap();
+        let nulled = Runner::new(&mut SimExecutor::new(m.clone(), 85.0).with_noise(0.1, 9))
+            .workload(&wl)
+            .trace(Arc::new(NullSink))
+            .run()
+            .unwrap();
         assert_eq!(plain, nulled);
     }
 
@@ -845,30 +730,44 @@ mod trace_tests {
     }
 
     #[test]
-    fn inherent_helpers_match_the_runner() {
+    fn default_cell_matches_the_runner() {
         let m = Machine::crill();
         let wl = tiny_sp();
-        let old = SimExecutor::new(m.clone(), 85.0).run_default(&wl);
-        let new = Runner::new(&mut SimExecutor::new(m, 85.0)).workload(&wl).run().unwrap();
-        assert_eq!(old, new);
+        let cell = SweepEngine::new(m.clone()).run_cell(
+            &wl,
+            85.0,
+            SweepStrategy::Default,
+            Objective::Time,
+            None,
+        );
+        let direct = Runner::new(&mut SimExecutor::new(m, 85.0)).workload(&wl).run().unwrap();
+        assert_eq!(cell.report, direct);
     }
 }
 
 #[cfg(test)]
 mod noise_tests {
     use super::*;
+    use crate::backend::Runner;
+    use crate::report::AppRunReport;
+    use crate::tuner::{RegionTuner, TunerOptions};
     use arcs_kernels::{model, Class};
+    use arcs_powersim::WorkloadDescriptor;
+
+    fn run(mut exec: SimExecutor, wl: &WorkloadDescriptor) -> AppRunReport {
+        Runner::new(&mut exec).workload(wl).run().unwrap()
+    }
 
     #[test]
     fn noise_is_reproducible_and_mean_preserving() {
         let m = Machine::crill();
         let mut wl = model::bt(Class::W);
         wl.timesteps = 40;
-        let clean = SimExecutor::new(m.clone(), 115.0).run_default(&wl);
-        let a = SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 7).run_default(&wl);
-        let b = SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 7).run_default(&wl);
+        let clean = run(SimExecutor::new(m.clone(), 115.0), &wl);
+        let a = run(SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 7), &wl);
+        let b = run(SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 7), &wl);
         assert_eq!(a.time_s, b.time_s, "same seed ⇒ same run");
-        let c = SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 8).run_default(&wl);
+        let c = run(SimExecutor::new(m.clone(), 115.0).with_noise(0.2, 8), &wl);
         assert_ne!(a.time_s, c.time_s, "different seed ⇒ different run");
         // Mean-1 noise over 200 invocations: totals within a few percent.
         let rel = (a.time_s - clean.time_s).abs() / clean.time_s;
@@ -909,13 +808,19 @@ mod noise_tests {
         let m = Machine::crill();
         let mut wl = model::sp(Class::B);
         wl.timesteps = 60;
-        let clean_base = SimExecutor::new(m.clone(), 115.0).run_default(&wl);
+        let clean_base = run(SimExecutor::new(m.clone(), 115.0), &wl);
         let space = crate::config::ConfigSpace::for_machine(&m);
         let mut trainer = SimExecutor::new(m.clone(), 115.0).with_noise(0.15, 42);
-        let history =
-            trainer.train_offline(&wl, TunerOptions::offline_train(space.clone()), "noisy");
+        let history = Runner::new(&mut trainer)
+            .workload(&wl)
+            .train(TunerOptions::offline_train(space.clone()), "noisy")
+            .unwrap();
         let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space, history));
-        let replay = SimExecutor::new(m.clone(), 115.0).run_tuned(&wl, &mut tuner);
+        let replay = Runner::new(&mut SimExecutor::new(m.clone(), 115.0))
+            .workload(&wl)
+            .tuner(&mut tuner)
+            .run()
+            .unwrap();
         let ratio = replay.time_s / clean_base.time_s;
         assert!(ratio < 0.85, "noisy-trained configs must still win: {ratio}");
     }
@@ -924,6 +829,7 @@ mod noise_tests {
 #[cfg(test)]
 mod apex_integration_tests {
     use super::*;
+    use crate::backend::Runner;
     use arcs_kernels::{model, Class};
 
     #[test]
@@ -933,7 +839,7 @@ mod apex_integration_tests {
         wl.timesteps = 10;
         let apex = Arc::new(Apex::new());
         let mut exec = SimExecutor::new(m, 115.0).with_apex(Arc::clone(&apex));
-        let rep = exec.run_default(&wl);
+        let rep = Runner::new(&mut exec).workload(&wl).run().unwrap();
         // Timers: one profile per region, one sample per invocation.
         let task = apex.task("bt/x_solve");
         assert_eq!(apex.profile(task).unwrap().count, 10);

@@ -11,9 +11,9 @@
 //! * **ARCS-Offline** — an exhaustive training execution per power
 //!   cap/workload saves the best configuration per region to a history
 //!   file; the measured execution replays it
-//!   ([`executor::runs::offline_run`]).
+//!   ([`sweep::SweepStrategy::Offline`]).
 //! * **ARCS-Online** — Nelder–Mead search converges within the same run
-//!   ([`executor::runs::online_run`]).
+//!   ([`sweep::SweepStrategy::Online`]).
 //!
 //! Two backends behind one [`backend::Backend`] trait and one run driver:
 //!
@@ -26,13 +26,15 @@
 //!   to any runtime through the OMPT-like tool interface and APEX policies
 //!   (the paper's Fig. 2 wiring, adapting real executions).
 //!
-//! Whole experiment grids (workload × power cap × strategy) run through
-//! the [`sweep::SweepEngine`], which executes cells concurrently over a
-//! shared per-machine simulation memo cache.
+//! Every run goes through one driver, [`backend::Runner`]. Whole
+//! experiment grids (workload × power cap × strategy) run through the
+//! [`sweep::SweepEngine`], which executes cells concurrently over a shared
+//! per-machine simulation memo cache; [`sweep::SweepEngine::run_cell`]
+//! holds the one recipe per strategy and runs a single cell.
 //!
 //! ## Quickstart (simulator)
 //! ```
-//! use arcs::executor::runs;
+//! use arcs::{Objective, Runner, SimExecutor, SweepEngine, SweepStrategy};
 //! use arcs_powersim::Machine;
 //! use arcs_kernels::{model, Class};
 //!
@@ -40,10 +42,19 @@
 //! let mut workload = model::sp(Class::B);
 //! workload.timesteps = 10;
 //!
-//! let base = runs::default_run(&machine, 85.0, &workload);
-//! let (tuned, history) = runs::offline_run(&machine, 85.0, &workload);
-//! assert!(tuned.time_s < base.time_s);
-//! assert_eq!(history.len(), 5); // one best config per SP region
+//! let base = Runner::new(&mut SimExecutor::new(machine.clone(), 85.0))
+//!     .workload(&workload)
+//!     .run()
+//!     .unwrap();
+//! let offline = SweepEngine::new(machine).run_cell(
+//!     &workload,
+//!     85.0,
+//!     SweepStrategy::Offline,
+//!     Objective::Time,
+//!     None,
+//! );
+//! assert!(offline.report.time_s < base.time_s);
+//! assert_eq!(offline.history.unwrap().len(), 5); // one best config per SP region
 //! ```
 
 pub mod backend;
@@ -67,7 +78,7 @@ pub use backend::{
 pub use cap::{CapHandle, CapWatch};
 pub use config::{ChunkChoice, ConfigSpace, OmpConfig, ScheduleChoice, ThreadChoice};
 pub use dvfs::{DvfsConfig, DvfsOutcome, DvfsSpace};
-pub use executor::{runs, NoiseModel, SimExecutor};
+pub use executor::{NoiseModel, SimExecutor};
 pub use faults::{FaultClock, MeterFault};
 pub use live::{ArcsLive, LiveExecutor};
 pub use profiler::{OmptProfiler, RegionProfile};
@@ -97,7 +108,7 @@ pub mod prelude {
     pub use crate::backend::{Backend, RunError, Runner, RunnerStrategy};
     pub use crate::cap::CapHandle;
     pub use crate::config::{ConfigSpace, OmpConfig};
-    pub use crate::executor::{runs, SimExecutor};
+    pub use crate::executor::SimExecutor;
     pub use crate::report::{AppRunReport, FaultRecovery, RunStatus};
     pub use crate::resilience::ResilienceOptions;
     pub use crate::sweep::{SweepEngine, SweepGrid, SweepStrategy};

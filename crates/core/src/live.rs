@@ -170,29 +170,6 @@ impl LiveExecutor {
         }
     }
 
-    /// Watch an externally-owned [`CapHandle`] (see
-    /// [`SimExecutor::with_cap_handle`](crate::executor::SimExecutor::with_cap_handle)):
-    /// the live path has no host RAPL, so only the pricing envelope moves.
-    pub fn with_cap_handle(mut self, handle: CapHandle) -> Self {
-        Backend::attach_cap_handle(&mut self, handle);
-        self
-    }
-
-    /// Attach a trace sink; the shared run driver emits region, power and
-    /// overhead events into it (energy figures come from the power model,
-    /// like the executor's accounting).
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
-    /// Attach a metrics registry; the wrapped runtime's region/chunk
-    /// counters and the shared driver's counters resolve against it.
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        Backend::attach_metrics(&mut self, registry);
-        self
-    }
-
     /// Adjust how much real time one modelled second costs (default
     /// 1e-3). Non-positive or non-finite scales are ignored (debug
     /// builds assert — a zero scale is a caller bug, not a runtime
@@ -202,14 +179,6 @@ impl LiveExecutor {
         if scale.is_finite() && scale > 0.0 {
             self.time_scale = scale;
         }
-        self
-    }
-
-    /// Attach a deterministic [`FaultPlan`] (see the simulator's
-    /// [`SimExecutor::with_faults`](crate::executor::SimExecutor::with_faults)):
-    /// the same plan and seed perturb the live path identically.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        Backend::attach_faults(&mut self, plan);
         self
     }
 

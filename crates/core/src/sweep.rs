@@ -15,9 +15,9 @@
 //! deterministic and value-identical regardless of which cell computes
 //! them. `with_workers(1)` gives the serial order for direct comparison.
 
-use crate::backend::Runner;
-use crate::config::OmpConfig;
-use crate::executor::{runs, SimExecutor};
+use crate::backend::{Backend, Runner};
+use crate::config::{ConfigSpace, OmpConfig};
+use crate::executor::SimExecutor;
 use crate::report::AppRunReport;
 use crate::tuner::{RegionTuner, TunerOptions};
 use arcs_harmony::History;
@@ -256,6 +256,8 @@ impl SweepEngine {
         SweepReport { cells: results, cache: self.cache.stats().delta_since(&before), workers }
     }
 
+    /// A fresh executor on the engine's shared cache, with the engine's
+    /// trace sink and metrics registry attached.
     fn executor(&self, cap_w: f64, noise: Option<(f64, u64)>) -> SimExecutor {
         let mut exec = SimExecutor::new(self.machine.clone(), cap_w)
             .with_shared_cache(Arc::clone(&self.cache));
@@ -263,15 +265,31 @@ impl SweepEngine {
             exec = exec.with_noise(cv, seed);
         }
         if let Some(sink) = &self.trace {
-            exec = exec.with_trace(Arc::clone(sink));
+            exec.attach_trace(Arc::clone(sink));
         }
         if let Some(registry) = &self.metrics {
-            exec = exec.with_metrics(Arc::clone(registry));
+            exec.attach_metrics(Arc::clone(registry));
         }
         exec
     }
 
-    fn run_cell(
+    /// Run one cell: `wl` at `cap_w` under `strategy`, every tuner session
+    /// scored by `objective`, on fresh executors over the engine's cache.
+    /// This is the one place the strategy recipes live — [`SweepEngine::run`]
+    /// calls it per grid cell, and single tuned runs call it directly.
+    ///
+    /// ```
+    /// use arcs::{Objective, SweepEngine, SweepStrategy};
+    /// use arcs_powersim::Machine;
+    /// use arcs_kernels::{model, Class};
+    ///
+    /// let mut wl = model::sp(Class::B);
+    /// wl.timesteps = 5;
+    /// let engine = SweepEngine::new(Machine::crill());
+    /// let cell = engine.run_cell(&wl, 85.0, SweepStrategy::Online, Objective::Time, None);
+    /// assert_eq!(cell.report.strategy, "arcs-online");
+    /// ```
+    pub fn run_cell(
         &self,
         wl: &WorkloadDescriptor,
         cap_w: f64,
@@ -279,94 +297,36 @@ impl SweepEngine {
         objective: Objective,
         noise: Option<(f64, u64)>,
     ) -> CellResult {
-        // Time cells go through the exact `runs::*` code path the paper
-        // figures use, so adding the objective axis cannot perturb them.
-        let (report, history) = if objective == Objective::Time {
-            match strategy {
-                SweepStrategy::Default => {
-                    (runs::default_run_on(&mut self.executor(cap_w, noise), wl), None)
-                }
-                SweepStrategy::Online => {
-                    (runs::online_run_on(&mut self.executor(cap_w, noise), wl), None)
-                }
-                SweepStrategy::Offline => {
-                    let (rep, h) = runs::offline_run_on(
-                        &mut self.executor(cap_w, noise),
-                        &mut self.executor(cap_w, noise),
-                        wl,
-                    );
-                    (rep, Some(h))
-                }
-                SweepStrategy::OnlineSelective { min_region_time_s } => {
-                    let space = crate::config::ConfigSpace::for_machine(&self.machine);
-                    let mut tuner = RegionTuner::new(
-                        TunerOptions::online(space).with_min_region_time(min_region_time_s),
-                    );
-                    let mut rep = self.executor(cap_w, noise).run_tuned(wl, &mut tuner);
-                    rep.strategy = strategy.label().into();
-                    (rep, None)
-                }
-            }
-        } else {
-            self.run_cell_for_objective(wl, cap_w, strategy, objective, noise)
-        };
-        CellResult { workload: wl.name.clone(), cap_w, strategy, objective, report, history }
-    }
-
-    /// The non-`Time` arm of [`SweepEngine::run_cell`]: the same four
-    /// strategies, with every tuner session scored by `objective`.
-    fn run_cell_for_objective(
-        &self,
-        wl: &WorkloadDescriptor,
-        cap_w: f64,
-        strategy: SweepStrategy,
-        objective: Objective,
-        noise: Option<(f64, u64)>,
-    ) -> (AppRunReport, Option<History<OmpConfig>>) {
-        let space = crate::config::ConfigSpace::for_machine(&self.machine);
-        match strategy {
-            SweepStrategy::Default => {
-                let mut exec = self.executor(cap_w, noise);
-                let rep = Runner::new(&mut exec)
-                    .workload(wl)
-                    .objective(objective)
-                    .run()
-                    .expect("workload is set");
-                (rep, None)
-            }
-            SweepStrategy::Online => {
-                let mut tuner =
-                    RegionTuner::new(TunerOptions::online(space).with_objective(objective));
-                let mut rep = self.executor(cap_w, noise).run_tuned(wl, &mut tuner);
-                rep.strategy = "arcs-online".into();
-                (rep, None)
+        let space = || ConfigSpace::for_machine(&self.machine);
+        let mut history = None;
+        let options = match strategy {
+            SweepStrategy::Default => None,
+            SweepStrategy::Online => Some(TunerOptions::online(space())),
+            SweepStrategy::OnlineSelective { min_region_time_s } => {
+                Some(TunerOptions::online(space()).with_min_region_time(min_region_time_s))
             }
             SweepStrategy::Offline => {
-                let mut trainer = self.executor(cap_w, noise);
+                let space = space();
+                // The paper trains and measures in separate executions.
                 let context = format!("{}.{}.{}W.{}", wl.name, self.machine.name, cap_w, objective);
-                let history = trainer.train_offline(
-                    wl,
-                    TunerOptions::offline_train(space.clone()).with_objective(objective),
-                    &context,
-                );
-                let mut tuner = RegionTuner::new(
-                    TunerOptions::offline_replay(space, history.clone()).with_objective(objective),
-                );
-                let mut rep = self.executor(cap_w, noise).run_tuned(wl, &mut tuner);
-                rep.strategy = "arcs-offline".into();
-                (rep, Some(history))
+                let trained = Runner::new(&mut self.executor(cap_w, noise))
+                    .workload(wl)
+                    .objective(objective)
+                    .train(TunerOptions::offline_train(space.clone()), &context)
+                    .expect("offline training options");
+                history = Some(trained.clone());
+                Some(TunerOptions::offline_replay(space, trained))
             }
-            SweepStrategy::OnlineSelective { min_region_time_s } => {
-                let mut tuner = RegionTuner::new(
-                    TunerOptions::online(space)
-                        .with_min_region_time(min_region_time_s)
-                        .with_objective(objective),
-                );
-                let mut rep = self.executor(cap_w, noise).run_tuned(wl, &mut tuner);
-                rep.strategy = strategy.label().into();
-                (rep, None)
-            }
+        };
+        let mut tuner = options.map(RegionTuner::new);
+        let mut exec = self.executor(cap_w, noise);
+        let mut runner =
+            Runner::new(&mut exec).workload(wl).objective(objective).label(strategy.label());
+        if let Some(tuner) = &mut tuner {
+            runner = runner.tuner(tuner);
         }
+        let report = runner.run().expect("workload is set");
+        CellResult { workload: wl.name.clone(), cap_w, strategy, objective, report, history }
     }
 }
 

@@ -241,10 +241,11 @@ proptest! {
         // runs must complete — Ok or Degraded, never Err.
         res.error_budget = Some(u64::MAX);
 
-        let mut exec = SimExecutor::new(m.clone(), 85.0).with_faults(plan);
+        let mut exec = SimExecutor::new(m.clone(), 85.0);
         let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
         let rep = Runner::new(&mut exec)
             .workload(&wl)
+            .faults(plan)
             .tuner(&mut tuner)
             .resilience(res)
             .run()
@@ -256,12 +257,12 @@ proptest! {
         let best = tuner.best_configs();
         let default_cfg = OmpConfig::default_for(&m);
         let mut clean = SimExecutor::new(m.clone(), 85.0);
-        let base = clean.run_default(&wl);
-        let tuned = clean.run_fixed(
-            &wl,
-            &|name: &str| best.get(name).copied().unwrap_or(default_cfg),
-            "chaos-best",
-        );
+        let base = Runner::new(&mut clean).workload(&wl).run().unwrap();
+        let tuned = Runner::new(&mut clean)
+            .workload(&wl)
+            .fixed(|name: &str| best.get(name).copied().unwrap_or(default_cfg), "chaos-best")
+            .run()
+            .unwrap();
         prop_assert!(
             tuned.time_s <= base.time_s * 1.5,
             "chaos-surviving configs degraded too far: {} vs default {}",

@@ -413,14 +413,6 @@ pub struct TraceReport {
     /// before).
     #[serde(default)]
     pub recovery: RecoveryReport,
-    /// Wall-clock analysis throughput stamped by the producer (`arcs-sim
-    /// report`): `RegionEnd` records — sweep "cells" — replayed per
-    /// second of real time. `None` in older artifacts or when the
-    /// producer did not time itself. The first slice of the ROADMAP's
-    /// cells/sec trajectory: `arcs-sim compare` copies it into its
-    /// artifact so `results/` accumulates a perf history run over run.
-    #[serde(default)]
-    pub cells_per_s: Option<f64>,
     /// The driver's wall-clock self-profile, summed over every v7
     /// `DriverPhases` event in the trace — `None` when the traced run
     /// did not self-profile (the default: the spans are real elapsed
@@ -738,9 +730,6 @@ impl TraceReport {
             self.overhead.total_s(),
             self.total_energy_j
         ));
-        if let Some(cps) = self.cells_per_s {
-            out.push_str(&format!("analysis throughput: {cps:.0} cells/s (wall clock)\n"));
-        }
 
         h(&mut out, "Regions");
         let name_w = self.regions.keys().map(|k| k.len()).max().unwrap_or(6).max("region".len());
@@ -1351,44 +1340,11 @@ pub struct Comparison {
     /// What the rows measure (`Time` in pre-objective artifacts).
     #[serde(default)]
     pub objective: Objective,
-    /// Wall-clock analysis throughput carried over from the baseline
-    /// report (`None` when the baseline artifact predates the field).
-    /// Recorded but not gated on by default — wall-clock numbers are too
-    /// noisy to fail CI at tight thresholds — unless the caller opts in
-    /// via [`Comparison::with_throughput_gate`] with a generous margin.
-    #[serde(default)]
-    pub baseline_cells_per_s: Option<f64>,
-    /// Wall-clock analysis throughput from the candidate report.
-    #[serde(default)]
-    pub candidate_cells_per_s: Option<f64>,
-    /// Optional throughput gate: the comparison regresses when the
-    /// candidate's cells/s falls strictly more than this many percent
-    /// below the baseline's. `None` (the default) keeps throughput
-    /// informational — wall-clock numbers are noisy, so gating is opt-in
-    /// and thresholds should be generous.
-    #[serde(default)]
-    pub fail_on_throughput_pct: Option<f64>,
 }
 
 impl Comparison {
     pub fn regressed(&self) -> bool {
-        self.rows.iter().any(|r| r.regression) || self.throughput_regressed()
-    }
-
-    /// Did the candidate's wall-clock throughput fall below the gated
-    /// floor? Always false without a gate or when either report predates
-    /// the `cells_per_s` field.
-    pub fn throughput_regressed(&self) -> bool {
-        match (self.fail_on_throughput_pct, self.baseline_cells_per_s, self.candidate_cells_per_s) {
-            (Some(pct), Some(base), Some(cand)) if base > 0.0 => cand < base * (1.0 - pct / 100.0),
-            _ => false,
-        }
-    }
-
-    /// Enable the throughput gate at `pct` percent below baseline.
-    pub fn with_throughput_gate(mut self, pct: f64) -> Self {
-        self.fail_on_throughput_pct = Some(pct);
-        self
+        self.rows.iter().any(|r| r.regression)
     }
 
     pub fn to_json(&self) -> String {
@@ -1425,25 +1381,6 @@ impl Comparison {
         }
         for m in &self.new_in_candidate {
             out.push_str(&format!("{m}: new in candidate\n"));
-        }
-        if self.baseline_cells_per_s.is_some() || self.candidate_cells_per_s.is_some() {
-            let fmt = |v: Option<f64>| match v {
-                Some(c) => format!("{c:.0}"),
-                None => "-".to_string(),
-            };
-            match self.fail_on_throughput_pct {
-                Some(pct) => out.push_str(&format!(
-                    "cells/s (wall clock, gated at -{pct}%): baseline {} → candidate {} — {}\n",
-                    fmt(self.baseline_cells_per_s),
-                    fmt(self.candidate_cells_per_s),
-                    if self.throughput_regressed() { "REGRESSION" } else { "ok" }
-                )),
-                None => out.push_str(&format!(
-                    "cells/s (wall clock, informational): baseline {} → candidate {}\n",
-                    fmt(self.baseline_cells_per_s),
-                    fmt(self.candidate_cells_per_s)
-                )),
-            }
         }
         out.push_str(&format!(
             "threshold {}%: {}\n",
@@ -1499,16 +1436,7 @@ pub fn compare_reports_for(
     }
     let new_in_candidate: Vec<String> =
         candidate.regions.keys().filter(|k| !baseline.regions.contains_key(*k)).cloned().collect();
-    Comparison {
-        fail_on_pct,
-        rows,
-        missing_in_candidate: missing,
-        new_in_candidate,
-        objective,
-        baseline_cells_per_s: baseline.cells_per_s,
-        candidate_cells_per_s: candidate.cells_per_s,
-        fail_on_throughput_pct: None,
-    }
+    Comparison { fail_on_pct, rows, missing_in_candidate: missing, new_in_candidate, objective }
 }
 
 #[cfg(test)]
@@ -1958,36 +1886,6 @@ mod tests {
     }
 
     #[test]
-    fn compare_carries_the_cells_per_s_trajectory() {
-        let mut base = analyze(TraceReader::new(jsonl(&sample_trace()).as_bytes())).unwrap();
-        let mut cand = base.clone();
-        base.cells_per_s = Some(50_000.0);
-        cand.cells_per_s = Some(65_000.0);
-        let cmp = compare_reports(&base, &cand, 0.0);
-        assert_eq!(cmp.baseline_cells_per_s, Some(50_000.0));
-        assert_eq!(cmp.candidate_cells_per_s, Some(65_000.0));
-        assert!(!cmp.regressed(), "throughput is informational, never gated");
-        assert!(cmp.to_table().contains("cells/s"), "{}", cmp.to_table());
-        let back: Comparison = serde_json::from_str(&cmp.to_json()).unwrap();
-        assert_eq!(back, cmp);
-
-        // Artifacts from before the field existed still parse (and stay
-        // silent in the table).
-        let old =
-            r#"{"fail_on_pct":0.0,"rows":[],"missing_in_candidate":[],"new_in_candidate":[]}"#;
-        let parsed: Comparison = serde_json::from_str(old).unwrap();
-        assert_eq!(parsed.baseline_cells_per_s, None);
-        assert_eq!(parsed.candidate_cells_per_s, None);
-        assert!(!compare_reports(&base, &base, 0.0).to_table().is_empty());
-        let silent = compare_reports(
-            &TraceReport { cells_per_s: None, ..base.clone() },
-            &TraceReport { cells_per_s: None, ..base },
-            0.0,
-        );
-        assert!(!silent.to_table().contains("cells/s"));
-    }
-
-    #[test]
     fn analyzers_reconstruct_the_run() {
         let report = analyze(TraceReader::new(jsonl(&sample_trace()).as_bytes())).unwrap();
         assert_eq!(report.schema, SCHEMA_VERSION);
@@ -2175,34 +2073,6 @@ mod tests {
         assert_eq!(cmp.rows[0].name, "TOTAL");
         assert_eq!(cmp.rows.len(), 1 + report.regions.len());
         assert!(cmp.to_table().contains("pass"));
-    }
-
-    #[test]
-    fn throughput_gate_fires_only_when_enabled() {
-        let mut cmp = Comparison {
-            baseline_cells_per_s: Some(1000.0),
-            candidate_cells_per_s: Some(600.0),
-            ..Default::default()
-        };
-        // -40% but no gate installed: informational only.
-        assert!(!cmp.regressed());
-        assert!(!cmp.throughput_regressed());
-        cmp = cmp.with_throughput_gate(30.0);
-        assert!(cmp.throughput_regressed());
-        assert!(cmp.regressed());
-        assert!(cmp.to_table().contains("gated at -30%"), "{}", cmp.to_table());
-        assert!(cmp.to_table().contains("REGRESSION"));
-        // Within the margin: the gate stays quiet.
-        cmp.candidate_cells_per_s = Some(750.0);
-        assert!(!cmp.regressed());
-        // A baseline without the field can never fail the gate.
-        cmp.candidate_cells_per_s = Some(600.0);
-        cmp.baseline_cells_per_s = None;
-        assert!(!cmp.regressed());
-        // The gate survives the JSON round trip (ci.sh re-reads artifacts).
-        cmp.baseline_cells_per_s = Some(1000.0);
-        let back = Comparison::from_json(&cmp.to_json()).unwrap();
-        assert!(back.regressed());
     }
 
     #[test]

@@ -45,7 +45,7 @@
 use crate::job::{resolve_workload, JobSpec, JobState};
 use crate::journal::{load_journal, BrokerJournal, JournalError};
 use crate::telemetry::{self, event_line, push_event, Digest, TelemetrySnapshot, TenantTelemetry};
-use arcs::backend::Runner;
+use arcs::backend::{Backend, Runner};
 use arcs::{
     CapHandle, ConfigSpace, RegionTuner, ResilienceOptions, RunStatus, SimExecutor, TunerOptions,
 };
@@ -1133,12 +1133,15 @@ impl Broker {
         let remaining = if qj.requeued { qj.remaining } else { wl.timesteps };
 
         let handle = CapHandle::new(node.package_cap_w(floor_w));
+        // The executor outlives every quantum of the job, so the handle and
+        // the fault plan attach once here: the fault ordinals then run on
+        // across quanta instead of restarting with each one.
         let mut exec = SimExecutor::new(node.machine.clone(), node.package_cap_w(floor_w))
-            .with_shared_cache(Arc::clone(&node.cache))
-            .with_cap_handle(handle.clone());
+            .with_shared_cache(Arc::clone(&node.cache));
+        exec.attach_cap_handle(handle.clone());
         let mut resilience = self.cfg.resilience;
         if let Some(seed) = spec.fault_seed {
-            exec = exec.with_faults(FaultPlan::flaky_rapl(seed));
+            exec.attach_faults(FaultPlan::flaky_rapl(seed));
             // A faulted job without a self-healing ladder would turn
             // hard meter faults into run errors; force the standard one.
             resilience = Some(resilience.unwrap_or_else(ResilienceOptions::standard));

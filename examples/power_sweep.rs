@@ -78,7 +78,9 @@ fn main() {
         "\nregions whose optimal configuration differs between 55W and TDP: {moved}/{}",
         h55.len()
     );
-    println!(
+    // Cache counts and the worker count depend on the host's core count,
+    // so they go to stderr and stdout stays a reproducible artefact.
+    eprintln!(
         "memo cache over the sweep: {} hits / {} misses on {} workers",
         report.cache.hits, report.cache.misses, report.workers
     );

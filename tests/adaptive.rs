@@ -45,7 +45,7 @@ fn adaptive_run(
 fn adaptive_schedule_escalates_and_beats_the_default() {
     let wl = mc();
     let m = Machine::crill();
-    let base = arcs::runs::default_run(&m, 115.0, &wl);
+    let base = Runner::new(&mut SimExecutor::new(m, 115.0)).workload(&wl).run().unwrap();
     let (adaptive, records) = adaptive_run(&wl);
 
     // The ladder must actually fire: at least one PolicySwitched on the

@@ -21,10 +21,15 @@ fn chaos_run(plan: FaultPlan, res: ResilienceOptions) -> (Result<AppRunReport, R
     let m = Machine::crill();
     let wl = small_lulesh();
     let sink = Arc::new(VecSink::new());
-    let mut exec = SimExecutor::new(m.clone(), 60.0).with_trace(sink.clone());
+    let mut exec = SimExecutor::new(m.clone(), 60.0);
     let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
-    let run =
-        Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).faults(plan).resilience(res).run();
+    let run = Runner::new(&mut exec)
+        .workload(&wl)
+        .trace(sink.clone())
+        .tuner(&mut tuner)
+        .faults(plan)
+        .resilience(res)
+        .run();
     let jsonl = to_jsonl(&sink.drain()).expect("chaos traces serialise");
     (run, jsonl)
 }

@@ -3,10 +3,27 @@
 
 use arcs::dvfs::{tune_region, Objective};
 use arcs::{
-    runs, ConfigSpace, OmpConfig, RegionTuner, SimExecutor, TunableSpace, TunerOptions, TuningMode,
+    AppRunReport, ConfigSpace, OmpConfig, RegionTuner, Runner, SimExecutor, SweepEngine, SweepGrid,
+    SweepReport, SweepStrategy, TunableSpace, TunerOptions, TuningMode,
 };
 use arcs_kernels::{model, Class};
-use arcs_powersim::Machine;
+use arcs_powersim::{Machine, WorkloadDescriptor};
+
+/// `strategies` for `wl` at one cap, on a fresh engine.
+fn sweep(
+    m: &Machine,
+    wl: &WorkloadDescriptor,
+    cap: f64,
+    strategies: &[SweepStrategy],
+) -> SweepReport {
+    let grid = SweepGrid::new(m.clone()).workload(wl.clone()).caps(&[cap]).strategies(strategies);
+    SweepEngine::new(m.clone()).run(&grid)
+}
+
+/// The report of `sweep`'s only workload and cap under `strategy`.
+fn cell<'a>(sweep: &'a SweepReport, strategy: &str) -> &'a AppRunReport {
+    &sweep.cells.iter().find(|c| c.strategy.label() == strategy).expect("cell present").report
+}
 
 /// EP is the negative control: ARCS-Offline must cost less than 1% on an
 /// application with zero tuning headroom.
@@ -14,10 +31,11 @@ use arcs_powersim::Machine;
 fn ep_no_harm() {
     let m = Machine::crill();
     let wl = model::ep(Class::B);
-    let base = runs::default_run(&m, 115.0, &wl);
-    let (off, history) = runs::offline_run(&m, 115.0, &wl);
+    let sweep = sweep(&m, &wl, 115.0, &[SweepStrategy::Default, SweepStrategy::Offline]);
+    let (base, off) = (cell(&sweep, "default"), cell(&sweep, "arcs-offline"));
     assert!(off.time_s / base.time_s < 1.01, "ratio {}", off.time_s / base.time_s);
     // And the chosen config is (essentially) the default.
+    let history = sweep.cell("ep.B", 115.0, "arcs-offline").unwrap().history.as_ref().unwrap();
     let cfg = history.get("ep/gaussian_pairs").unwrap().config;
     assert_eq!(cfg.schedule.kind, arcs_omprt::ScheduleKind::Static);
 }
@@ -28,23 +46,21 @@ fn ep_no_harm() {
 fn mg_selective_tuning_contains_the_multiscale_pathology() {
     let m = Machine::crill();
     let wl = model::mg(Class::B);
-    let base = runs::default_run(&m, 115.0, &wl);
-    let naive = runs::online_run(&m, 115.0, &wl);
+    let selective = SweepStrategy::OnlineSelective { min_region_time_s: 4.0 * m.config_change_s };
+    let sweep = sweep(&m, &wl, 115.0, &[SweepStrategy::Default, SweepStrategy::Online, selective]);
+    let (base, naive) = (cell(&sweep, "default"), cell(&sweep, "arcs-online"));
     assert!(
         naive.time_s / base.time_s > 2.0,
         "naive should blow up: {}",
         naive.time_s / base.time_s
     );
-    let space = ConfigSpace::for_machine(&m);
-    let mut tuner =
-        RegionTuner::new(TunerOptions::online(space).with_min_region_time(4.0 * m.config_change_s));
-    let selective = SimExecutor::new(m.clone(), 115.0).run_tuned(&wl, &mut tuner);
+    let selective = cell(&sweep, "arcs-online-selective");
     assert!(
         selective.time_s / base.time_s < 1.12,
         "selective must contain it: {}",
         selective.time_s / base.time_s
     );
-    assert!(tuner.stats().skipped_regions > 0);
+    assert!(selective.tuner.unwrap().skipped_regions > 0);
 }
 
 /// The DVFS energy objective must dominate the plain ARCS choice on
@@ -70,15 +86,21 @@ fn noisy_training_keeps_most_of_the_gain() {
     let m = Machine::crill();
     let mut wl = model::sp(Class::B);
     wl.timesteps = 60;
-    let base = runs::default_run(&m, 85.0, &wl);
-    let (clean_off, _) = runs::offline_run(&m, 85.0, &wl);
-    let clean_gain = 1.0 - clean_off.time_s / base.time_s;
+    let sweep = sweep(&m, &wl, 85.0, &[SweepStrategy::Default, SweepStrategy::Offline]);
+    let base = cell(&sweep, "default");
+    let clean_gain = 1.0 - cell(&sweep, "arcs-offline").time_s / base.time_s;
     let space = ConfigSpace::for_machine(&m);
     for seed in [11u64, 77, 3021] {
-        let mut trainer = SimExecutor::new(m.clone(), 85.0).with_noise(0.15, seed);
-        let h = trainer.train_offline(&wl, TunerOptions::offline_train(space.clone()), "noisy");
+        let h = Runner::new(&mut SimExecutor::new(m.clone(), 85.0).with_noise(0.15, seed))
+            .workload(&wl)
+            .train(TunerOptions::offline_train(space.clone()), "noisy")
+            .unwrap();
         let mut tuner = RegionTuner::new(TunerOptions::offline_replay(space.clone(), h));
-        let rep = SimExecutor::new(m.clone(), 85.0).run_tuned(&wl, &mut tuner);
+        let rep = Runner::new(&mut SimExecutor::new(m.clone(), 85.0))
+            .workload(&wl)
+            .tuner(&mut tuner)
+            .run()
+            .unwrap();
         let gain = 1.0 - rep.time_s / base.time_s;
         assert!(gain > 0.8 * clean_gain, "seed {seed}: noisy gain {gain} vs clean {clean_gain}");
     }
@@ -96,7 +118,7 @@ fn fig9_shape_from_the_simulated_apex_path() {
     wl.timesteps = 5;
     let apex = Arc::new(Apex::new());
     let mut exec = SimExecutor::new(m, 115.0).with_apex(Arc::clone(&apex));
-    let rep = exec.run_default(&wl);
+    let rep = Runner::new(&mut exec).workload(&wl).run().unwrap();
     // APEX profiles carry the same per-region means the report does.
     for (name, summary) in &rep.per_region {
         let task = apex.task(name);
@@ -121,12 +143,13 @@ fn custom_machine_runs_end_to_end() {
     let m = Machine::from_json(&json).unwrap();
     let mut wl = model::sp(Class::B);
     wl.timesteps = 15;
-    let base = runs::default_run(&m, 115.0, &wl);
-    let (off, _) = runs::offline_run(&m, 115.0, &wl);
+    let sweep = sweep(&m, &wl, 115.0, &[SweepStrategy::Default, SweepStrategy::Offline]);
+    let (base, off) = (cell(&sweep, "default"), cell(&sweep, "arcs-offline"));
     // A doubled L3 shrinks SP's cache headroom, but ARCS must still win.
     let ratio = off.time_s / base.time_s;
     assert!(ratio < 1.0, "ratio {ratio}");
-    let crill_base = runs::default_run(&Machine::crill(), 115.0, &wl);
+    let crill_base =
+        Runner::new(&mut SimExecutor::new(Machine::crill(), 115.0)).workload(&wl).run().unwrap();
     assert!(base.time_s < crill_base.time_s, "bigger L3 must help the default");
 }
 

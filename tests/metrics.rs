@@ -71,9 +71,10 @@ fn sim_trace_overhead_cross_check_matches_the_app_report() {
     let m = Machine::crill();
     let wl = tiny_sp();
     let sink = Arc::new(VecSink::new());
-    let mut exec = SimExecutor::new(m.clone(), 80.0).with_trace(sink.clone());
+    let mut exec = SimExecutor::new(m.clone(), 80.0);
     let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
-    let rep = Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap();
+    let rep =
+        Runner::new(&mut exec).workload(&wl).trace(sink.clone()).tuner(&mut tuner).run().unwrap();
 
     let report = analyze_jsonl(&to_jsonl(&sink.drain()).unwrap());
     assert_eq!(report.seq_gaps, 0);
@@ -156,11 +157,15 @@ fn registry_covers_every_sim_layer_after_a_tuned_run() {
     let wl = tiny_sp();
     let registry = Arc::new(MetricsRegistry::new());
     let sink = Arc::new(VecSink::new());
-    let mut exec = SimExecutor::new(m.clone(), 80.0)
-        .with_metrics(Arc::clone(&registry))
-        .with_trace(sink.clone());
+    let mut exec = SimExecutor::new(m.clone(), 80.0);
     let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
-    let rep = Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap();
+    let rep = Runner::new(&mut exec)
+        .workload(&wl)
+        .metrics(Arc::clone(&registry))
+        .trace(sink.clone())
+        .tuner(&mut tuner)
+        .run()
+        .unwrap();
     let stats = tuner.stats();
     let records = sink.drain();
     let count = |kind: &str| records.iter().filter(|r| r.event.kind() == kind).count() as u64;
@@ -212,10 +217,8 @@ fn registry_covers_the_live_runtime() {
     let wl = WorkloadDescriptor { name: "live-metered".into(), step: vec![region], timesteps: 5 };
     let rt = Arc::new(Runtime::new(4));
     let registry = Arc::new(MetricsRegistry::new());
-    let mut exec = LiveExecutor::new(Arc::clone(&rt), Machine::crill(), 85.0)
-        .with_time_scale(1e-2)
-        .with_metrics(Arc::clone(&registry));
-    let rep = Runner::new(&mut exec).workload(&wl).run().unwrap();
+    let mut exec = LiveExecutor::new(Arc::clone(&rt), Machine::crill(), 85.0).with_time_scale(1e-2);
+    let rep = Runner::new(&mut exec).workload(&wl).metrics(Arc::clone(&registry)).run().unwrap();
     assert_eq!(rep.per_region["live/metered"].invocations, 5);
 
     let snap = registry.snapshot();

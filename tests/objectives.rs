@@ -189,13 +189,14 @@ fn dvfs_runs_emit_the_standard_trace_taxonomy() {
     let mut wl = model::sp(Class::B);
     wl.timesteps = 8;
     let sink = Arc::new(VecSink::new());
-    let mut exec = SimExecutor::new(m.clone(), 85.0).with_trace(sink.clone());
+    let mut exec = SimExecutor::new(m.clone(), 85.0);
     let mut tuner = RegionTuner::new(TunerOptions::new(
         TunableSpace::with_dvfs(&m, 3),
         TuningMode::Online(NmOptions::default()),
     ));
     Runner::new(&mut exec)
         .workload(&wl)
+        .trace(sink.clone())
         .tuner(&mut tuner)
         .objective(Objective::Energy)
         .run()

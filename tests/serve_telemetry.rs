@@ -195,11 +195,11 @@ fn self_profile_spans_are_opt_in() {
     let run = |self_profile: bool| -> Vec<TraceRecord> {
         let machine = Machine::crill();
         let sink = Arc::new(VecSink::new());
-        let mut exec =
-            SimExecutor::new(machine.clone(), machine.power.tdp_w).with_trace(sink.clone());
+        let mut exec = SimExecutor::new(machine.clone(), machine.power.tdp_w);
         let wl = model::sp(Class::S);
         Runner::new(&mut exec)
             .workload(&wl)
+            .trace(sink.clone())
             .self_profile(self_profile)
             .run()
             .expect("sim run succeeds");

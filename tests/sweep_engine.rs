@@ -3,7 +3,8 @@
 //! reproduces the §III-C overhead accounting exactly.
 
 use arcs::{
-    overhead_power_w, runs, NoiseModel, SimExecutor, SweepEngine, SweepGrid, SweepStrategy,
+    overhead_power_w, ConfigSpace, NoiseModel, Objective, RegionTuner, Runner, SimExecutor,
+    SweepEngine, SweepGrid, SweepStrategy, TunerOptions,
 };
 use arcs_kernels::{model, Class};
 use arcs_powersim::Machine;
@@ -74,7 +75,9 @@ fn backend_overhead_accounting_matches_paper_model_on_sp_b() {
     wl.timesteps = 10;
     let cap = 85.0;
 
-    let tuned = runs::online_run(&m, cap, &wl);
+    let tuned = SweepEngine::new(m.clone())
+        .run_cell(&wl, cap, SweepStrategy::Online, Objective::Time, None)
+        .report;
     let stats = tuned.tuner.as_ref().expect("online run records tuner stats");
 
     // Instrumentation: exactly one charge per tuned invocation.
@@ -106,15 +109,16 @@ fn backend_overhead_accounting_matches_paper_model_on_sp_b() {
     assert!(overhead_power_w(&m) < cap);
 
     // A default run pays no overheads at all.
-    let base = runs::default_run(&m, cap, &wl);
+    let base = Runner::new(&mut SimExecutor::new(m.clone(), cap)).workload(&wl).run().unwrap();
     assert_eq!(base.config_change_overhead_s, 0.0);
     assert_eq!(base.instrumentation_overhead_s, 0.0);
     assert!(base.tuner.is_none());
 }
 
-/// The sweep engine's Online cell and a hand-built serial run must agree
-/// exactly — the acceptance check that rewiring the figures onto the sweep
-/// engine did not change any numbers.
+/// The sweep engine's cells and hand-built serial runs must agree exactly:
+/// each strategy's recipe, rolled by hand through `Runner` on fresh
+/// executors with private caches, gives the same reports and history as the
+/// parallel engine over its shared cache.
 #[test]
 fn sweep_cells_match_hand_rolled_serial_runs() {
     let m = Machine::crill();
@@ -129,15 +133,26 @@ fn sweep_cells_match_hand_rolled_serial_runs() {
     ]);
     let report = SweepEngine::new(m.clone()).run(&grid);
 
+    let space = ConfigSpace::for_machine(&m);
+    let exec = || SimExecutor::new(m.clone(), cap);
+    let tuned = |options: TunerOptions, label: &str| {
+        let mut tuner = RegionTuner::new(options);
+        Runner::new(&mut exec()).workload(&wl).tuner(&mut tuner).label(label).run().unwrap()
+    };
     assert_eq!(
         report.cell("sp.B", cap, "default").unwrap().report,
-        runs::default_run(&m, cap, &wl)
+        Runner::new(&mut exec()).workload(&wl).run().unwrap()
     );
     assert_eq!(
         report.cell("sp.B", cap, "arcs-online").unwrap().report,
-        runs::online_run(&m, cap, &wl)
+        tuned(TunerOptions::online(space.clone()), "arcs-online")
     );
-    let (off_rep, off_hist) = runs::offline_run(&m, cap, &wl);
+    // ARCS-Offline trains and measures in separate executions.
+    let off_hist = Runner::new(&mut exec())
+        .workload(&wl)
+        .train(TunerOptions::offline_train(space.clone()), "sp.B.crill.85W.time")
+        .unwrap();
+    let off_rep = tuned(TunerOptions::offline_replay(space, off_hist.clone()), "arcs-offline");
     let cell = report.cell("sp.B", cap, "arcs-offline").unwrap();
     assert_eq!(cell.report, off_rep);
     assert_eq!(cell.history.as_ref(), Some(&off_hist));
@@ -150,8 +165,11 @@ fn stateless_noise_gives_reproducible_noisy_cells() {
     let m = Machine::crill();
     let mut wl = model::sp(Class::B);
     wl.timesteps = 4;
-    let a = SimExecutor::new(m.clone(), 85.0).with_noise(0.05, 42).run_default(&wl);
-    let b = SimExecutor::new(m.clone(), 85.0).with_noise(0.05, 42).run_default(&wl);
+    let run = || {
+        let mut exec = SimExecutor::new(m.clone(), 85.0).with_noise(0.05, 42);
+        Runner::new(&mut exec).workload(&wl).run().unwrap()
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a, b);
 
     // And the noise model itself is a pure function.

@@ -88,9 +88,9 @@ fn traced_run_round_trips_through_jsonl() {
     let m = Machine::crill();
     let wl = tiny_sp();
     let sink = Arc::new(VecSink::new());
-    let mut exec = SimExecutor::new(m.clone(), 80.0).with_trace(sink.clone());
+    let mut exec = SimExecutor::new(m.clone(), 80.0);
     let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
-    Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap();
+    Runner::new(&mut exec).workload(&wl).trace(sink.clone()).tuner(&mut tuner).run().unwrap();
 
     let records = sink.drain();
     assert!(!records.is_empty());
@@ -108,9 +108,9 @@ fn chrome_export_is_a_valid_array_of_complete_events() {
     let m = Machine::crill();
     let wl = tiny_sp();
     let sink = Arc::new(VecSink::new());
-    let mut exec = SimExecutor::new(m.clone(), 80.0).with_trace(sink.clone());
+    let mut exec = SimExecutor::new(m.clone(), 80.0);
     let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
-    Runner::new(&mut exec).workload(&wl).tuner(&mut tuner).run().unwrap();
+    Runner::new(&mut exec).workload(&wl).trace(sink.clone()).tuner(&mut tuner).run().unwrap();
 
     let records = sink.drain();
     let regions = records.iter().filter(|r| r.event.kind() == "RegionEnd").count();
@@ -133,10 +133,11 @@ fn objective_fields_round_trip_through_jsonl() {
     let m = Machine::crill();
     let wl = tiny_sp();
     let sink = Arc::new(VecSink::new());
-    let mut exec = SimExecutor::new(m.clone(), 80.0).with_trace(sink.clone());
+    let mut exec = SimExecutor::new(m.clone(), 80.0);
     let mut tuner = RegionTuner::new(TunerOptions::online(ConfigSpace::for_machine(&m)));
     Runner::new(&mut exec)
         .workload(&wl)
+        .trace(sink.clone())
         .tuner(&mut tuner)
         .objective(Objective::Energy)
         .run()

@@ -20,6 +20,15 @@ cargo run --release -q -p arcs-bench --bin arcs-sim -- \
 test -s "$trace_tmp/sp.trace.jsonl"
 test -s "$trace_tmp/sp.trace.chrome.json"
 
+# Example goldens: each example's stdout holds only run- and
+# host-independent lines (timings, converged configs and tuner counts go
+# to stderr), so it must equal its tracked results/example_<name>.txt.
+for example in quickstart live_solvers power_sweep capped_cluster_job; do
+    cargo run --release -q --example "$example" \
+        > "$trace_tmp/example_$example.txt" 2> "$trace_tmp/example_$example.err"
+    cmp "$trace_tmp/example_$example.txt" "results/example_$example.txt"
+done
+
 # Perf-regression gate smoke: the simulator is deterministic, so the same
 # fixed-seed cell run twice must produce identical analysis reports and
 # pass `compare` at a 0% threshold. Any nondeterminism, trace drift, or

@@ -1,9 +1,8 @@
 //! Hot-path benchmarks: the three layers a figure sweep spends its time
 //! in, measured separately so a regression names its layer.
 //!
-//! * `cache_lookup` — the memo-cache warm path (interned id through a
-//!   [`arcs_powersim::CacheReader`], lock-free on warm hits) against the
-//!   string-keyed compatibility path it replaced.
+//! * `cache_lookup` — one memo-cache warm hit (interned id, one shard
+//!   read lock and one map probe).
 //! * `region_eval` — one fully-warm tuned run of sp.B (every simulate
 //!   memoised; what remains is pure driver semantics).
 //! * `sweep_cell` — one cell of the fig. 4 grid end to end.
@@ -24,30 +23,18 @@ fn cache_lookup(c: &mut Criterion) {
 
     let cache = SharedSimCache::new(&m.name);
     let id = cache.intern(&region.name);
-    let mut reader = cache.reader();
-    cache.get_or_insert_id(&mut reader, id, region.iterations, cfg, 85.0, None, || {
+    cache.get_or_insert_id(id, region.iterations, cfg, 85.0, None, || {
         simulate_region(&m, 85.0, region, cfg)
     });
 
     let mut g = c.benchmark_group("cache_lookup");
     g.bench_function("warm_hit_interned", |b| {
         b.iter(|| {
-            black_box(cache.get_or_insert_id(
-                &mut reader,
-                id,
-                region.iterations,
-                cfg,
-                85.0,
-                None,
-                || unreachable!("warm"),
-            ))
-        })
-    });
-    g.bench_function("warm_hit_string_keyed", |b| {
-        b.iter(|| {
-            black_box(cache.get_or_insert_with(&region.name, region.iterations, cfg, 85.0, || {
-                unreachable!("warm")
-            }))
+            black_box(
+                cache.get_or_insert_id(id, region.iterations, cfg, 85.0, None, || {
+                    unreachable!("warm")
+                }),
+            )
         })
     });
     g.finish();

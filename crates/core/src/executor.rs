@@ -26,9 +26,9 @@ use crate::tunable::TunedConfig;
 use arcs_apex::Apex;
 use arcs_metrics::MetricsRegistry;
 use arcs_powersim::{
-    simulate_region_with, CacheBindError, CacheReader, FaultPlan, FxBuildHasher, InvocationFaults,
-    Machine, MeasureError, PackageEnergy, Rapl, RegionId, RegionModel, SharedSimCache, SimConfig,
-    SimReport, SimScratch,
+    simulate_region_with, CacheBindError, FaultPlan, FxBuildHasher, InvocationFaults, Machine,
+    MeasureError, PackageEnergy, Rapl, RegionId, RegionModel, SharedSimCache, SimConfig, SimReport,
+    SimScratch,
 };
 use arcs_trace::{TraceEvent, TraceSink};
 use std::collections::HashMap;
@@ -49,9 +49,6 @@ pub struct SimExecutor {
     requested_cap_w: f64,
     rapl: Rapl,
     cache: Arc<SharedSimCache>,
-    /// Lock-free view of `cache`'s frozen shard snapshots; rebuilt
-    /// whenever a different cache is bound.
-    reader: CacheReader,
     /// Reusable simulation working memory (miss path only).
     scratch: SimScratch,
     apex: Option<Arc<Apex>>,
@@ -118,14 +115,12 @@ impl SimExecutor {
         let requested_cap_w = cap_w;
         let cap_w = rapl.set_package_cap(cap_w);
         let cache = Arc::new(SharedSimCache::new(&machine.name));
-        let reader = cache.reader();
         SimExecutor {
             machine,
             cap_w,
             requested_cap_w,
             rapl,
             cache,
-            reader,
             scratch: SimScratch::default(),
             apex: None,
             noise: None,
@@ -175,15 +170,13 @@ impl SimExecutor {
 
     /// Attach a memo cache shared with other executors. The machine is not
     /// part of the cache key, so a cache of another machine model panics
-    /// in debug builds and is ignored (the private cache is kept) in
-    /// release builds. [`Runner::shared_cache`](crate::backend::Runner::shared_cache)
+    /// with the [`CacheBindError`] message.
+    /// [`Runner::shared_cache`](crate::backend::Runner::shared_cache)
     /// surfaces the mismatch as an error instead.
     pub fn with_shared_cache(mut self, cache: Arc<SharedSimCache>) -> Self {
-        let bound = self.bind_cache(cache);
-        debug_assert!(
-            bound.is_ok(),
-            "shared cache belongs to a different machine model: {bound:?}"
-        );
+        if let Err(err) = self.bind_cache(cache) {
+            panic!("{err}");
+        }
         self
     }
 
@@ -195,7 +188,6 @@ impl SimExecutor {
         if let Some(registry) = &self.metrics {
             cache.attach_metrics(registry);
         }
-        self.reader = cache.reader();
         // Interned ids belong to the cache that issued them — re-resolve
         // lazily against the new cache.
         self.regions.clear();
@@ -212,8 +204,8 @@ impl SimExecutor {
         self.cap_w
     }
 
-    /// Memoised single-region simulation. Looks up by `&str` — the region
-    /// name is only copied into the cache on first miss.
+    /// Memoised single-region simulation, looked up by the region's
+    /// interned id (resolved once per cache bind).
     pub fn simulate(&mut self, region: &RegionModel, cfg: SimConfig) -> Arc<SimReport> {
         self.simulate_at(region, cfg, None)
     }
@@ -230,15 +222,9 @@ impl SimExecutor {
         let cap_w = self.cap_w;
         let machine = &self.machine;
         let scratch = &mut self.scratch;
-        self.cache.get_or_insert_id(
-            &mut self.reader,
-            id,
-            region.iterations,
-            cfg,
-            cap_w,
-            freq_limit_ghz,
-            || simulate_region_with(machine, cap_w, region, cfg, freq_limit_ghz, scratch),
-        )
+        self.cache.get_or_insert_id(id, region.iterations, cfg, cap_w, freq_limit_ghz, || {
+            simulate_region_with(machine, cap_w, region, cfg, freq_limit_ghz, scratch)
+        })
     }
 
     /// The cache-interned id for `region`, resolved once per region per
@@ -593,9 +579,8 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "different machine model")]
-    fn shared_cache_mismatch_panics_in_debug_builds() {
+    #[should_panic(expected = "different machine model: cache is for `minotaur`")]
+    fn shared_cache_mismatch_panics() {
         let cache = Arc::new(SharedSimCache::new("minotaur"));
         let _ = SimExecutor::new(Machine::crill(), 85.0).with_shared_cache(cache);
     }

@@ -28,8 +28,6 @@ use crate::machine::Machine;
 use crate::workload::{ImbalanceProfile, RegionModel};
 use arcs_omprt::schedule::{static_chunks_for_thread, ChunkStream, Schedule};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The tunable configuration, in simulator form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -188,9 +186,7 @@ pub struct SimScratch {
     chunks_per_thread: Vec<u64>,
     /// On-demand chunk sizes in dispatch order (any non-static policy).
     sizes: Vec<usize>,
-    /// Greedy list-scheduling queue keyed by femtosecond finish clocks.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Per-thread femtosecond clocks for the small-team argmin dispatcher.
+    /// Per-thread femtosecond clocks for the greedy argmin dispatcher.
     clocks: Vec<u64>,
     /// thread → flat core index during SMT grouping (entries consumed as
     /// groups are processed).
@@ -330,12 +326,12 @@ pub fn simulate_region_with(
             let nchunks = sizes.len();
             // Equal-cost fast path (uniform weights + equal chunk sizes up
             // to a trailing remainder — i.e. `dynamic` on a uniform
-            // region): with every pending clock tied each round, the heap
-            // pops threads in index order, so greedy dispatch IS
-            // round-robin and each thread's femtosecond clock is a
-            // closed-form multiple of the per-chunk cost. u64
+            // region): with every pending clock tied each round, the
+            // argmin scan below picks threads in index order, so greedy
+            // dispatch IS round-robin and each thread's femtosecond clock
+            // is a closed-form multiple of the per-chunk cost. u64
             // multiplication is exact repeated addition, so the bits match
-            // the simulated heap exactly.
+            // the scan exactly.
             let equal_cost = uniform
                 && nchunks > 0
                 && sizes[..nchunks - 1].iter().all(|&s| s == sizes[0])
@@ -359,13 +355,11 @@ pub fn simulate_region_with(
                     }
                     busy_ns[t] = clock_fp as f64 * 1e-6;
                 }
-            } else if threads <= 32 {
-                // Small teams: a linear argmin over the clock array beats
-                // heap maintenance per chunk. First-minimum scanning picks
-                // the lowest thread index among tied clocks — exactly the
-                // `Reverse((clock, t))` heap order — so the assignment
-                // sequence (and every femtosecond sum) is bit-identical to
-                // the heap branch below.
+            } else {
+                // Greedy dispatch: each chunk goes to the thread with the
+                // smallest femtosecond clock; a first-minimum scan breaks
+                // ties toward the lowest thread index. Integer clocks make
+                // the order exact, so every femtosecond sum is reproducible.
                 let clocks = &mut scratch.clocks;
                 clocks.clear();
                 clocks.resize(threads, 0u64);
@@ -389,26 +383,6 @@ pub fn simulate_region_with(
                 }
                 for (t, &c) in clocks.iter().enumerate() {
                     busy_ns[t] = c as f64 * 1e-6;
-                }
-            } else {
-                let heap = &mut scratch.heap;
-                heap.clear();
-                heap.extend((0..threads).map(|t| Reverse((0u64, t))));
-                let mut start = 0usize;
-                for &sz in sizes {
-                    let Reverse((clock_fp, t)) = heap.pop().expect("team is non-empty");
-                    let end = start + sz;
-                    let cost = dispatch_ns
-                        + weight_sum(start, end) * cycle_ns_per_weight
-                        + sz as f64 * stall_ns_per_iter;
-                    start = end;
-                    chunks_per_thread[t] += 1;
-                    // Femtosecond integer clocks keep the heap strict-weak.
-                    let clock_fp = clock_fp + (cost * 1e6) as u64;
-                    heap.push(Reverse((clock_fp, t)));
-                }
-                for Reverse((clock_fp, t)) in heap.drain() {
-                    busy_ns[t] = clock_fp as f64 * 1e-6;
                 }
             }
         }
@@ -618,6 +592,19 @@ mod tests {
             st.barrier_total_s()
         );
         assert!(dy.imbalance() < st.imbalance());
+    }
+
+    #[test]
+    fn greedy_dispatch_breaks_ties_toward_the_lowest_thread() {
+        // 100 single-iteration chunks on a 160-thread Minotaur team: every
+        // clock is tied at zero when each chunk is dispatched, so the
+        // chunks must land on threads 0..100 and leave the rest idle.
+        let m = Machine::minotaur();
+        let r = region(100, ImbalanceProfile::Linear { slope: 1.0 });
+        let rep = simulate_region(&m, 190.0, &r, cfg(160, Schedule::dynamic(1)));
+        let (busy, idle) = rep.per_thread_busy_s.split_at(100);
+        assert!(busy.iter().all(|&b| b > 0.0), "{busy:?}");
+        assert!(idle.iter().all(|&b| b == 0.0), "{idle:?}");
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use fault::{
 pub use fleet::{Fleet, FleetNode};
 pub use machine::{CacheGeometry, Machine, MachineLoadError, Placement, PowerModel, SmtModel};
 pub use memo::{
-    CacheBindError, CacheReader, CacheSnapshot, FxBuildHasher, FxHasher, RegionId, RegionInterner,
+    CacheBindError, CacheSnapshot, FxBuildHasher, FxHasher, RegionId, RegionInterner,
     SharedSimCache,
 };
 pub use rapl::{PackageEnergy, Rapl};

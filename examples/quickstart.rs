@@ -8,6 +8,10 @@
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
+//!
+//! Stdout carries only what is the same on every run and host; the
+//! measured timings, the converged configuration and the tuner's counts
+//! depend on the host's threads and clock, so they go to stderr.
 
 use arcs::prelude::*;
 use arcs::{ArcsLive, ThreadChoice};
@@ -31,6 +35,9 @@ fn main() {
     let rt = Arc::new(Runtime::new(threads));
     let region = rt.register_region("quickstart/triangular");
     let n = 4096;
+    println!(
+        "quickstart: ARCS-Online tuning quickstart/triangular ({n} iterations per invocation)"
+    );
 
     // Baseline: the OpenMP default (max threads, static block partition).
     let sink = std::sync::atomic::AtomicU64::new(0);
@@ -46,7 +53,7 @@ fn main() {
         run_once();
     }
     let default_time = t0.elapsed().as_secs_f64() / 30.0;
-    println!(
+    eprintln!(
         "default config {}: {:.3} ms/invocation",
         OmpConfig { threads, schedule: arcs_omprt::Schedule::static_block() },
         default_time * 1e3
@@ -74,7 +81,7 @@ fn main() {
         }
     }
     let best = live.best_configs()["quickstart/triangular"];
-    println!("ARCS converged after {invocations} invocations: [{best}]");
+    eprintln!("ARCS converged after {invocations} invocations: [{best}]");
 
     // Measure the tuned configuration.
     let t1 = Instant::now();
@@ -82,17 +89,22 @@ fn main() {
         run_once();
     }
     let tuned_time = t1.elapsed().as_secs_f64() / 30.0;
-    println!(
+    eprintln!(
         "tuned config: {:.3} ms/invocation ({:+.1}%)",
         tuned_time * 1e3,
         (tuned_time / default_time - 1.0) * 100.0
     );
 
     let stats = live.stats();
-    println!(
+    eprintln!(
         "tuner stats: {} invocations, {} configuration changes, {} regions",
         stats.invocations, stats.config_changes, stats.regions
     );
     let history = live.export_history("quickstart");
-    println!("history file:\n{}", history.to_json());
+    println!(
+        "history file: context `{}`, regions {:?}",
+        history.context,
+        history.entries.keys().collect::<Vec<_>>()
+    );
+    eprintln!("{}", history.to_json());
 }

@@ -42,6 +42,11 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     // Both sweeps resolve the same set of distinct (region, config) points,
     // so they miss (= compute) the same number of simulations.
     assert_eq!(serial.cache.misses, parallel.cache.misses);
+    // Exactly one miss per distinct cell, however the eight workers race:
+    // a fresh engine's cache holds one entry per miss.
+    for report in [&serial, &parallel] {
+        assert_eq!(report.cache.misses as usize, report.cache.entries, "{:?}", report.cache);
+    }
 }
 
 /// Cells share the memo cache: the Default cell simulates the same five
